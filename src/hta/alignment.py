@@ -90,8 +90,8 @@ def total_loss_node(tape: Tape, batch: AlignmentBatch, pid: dict[str, int],
                     vcfg: VideoTowerConfig, tcfg: TextTowerConfig) -> int:
     """info_nce(video, subtitle) + info_nce(video, caption) on the tape."""
     v = encode_video_batch(tape, batch.clips, pid, vcfg)
-    s = tape.concat_rows([encode_text(tape, x, pid, tcfg) for x in batch.subtitles])
-    c = tape.concat_rows([encode_text(tape, x, pid, tcfg) for x in batch.captions])
+    s = encode_text(tape, batch.subtitles, pid, tcfg)
+    c = encode_text(tape, batch.captions, pid, tcfg)
     lt = pid["log_tau"]
     return tape.add(info_nce_node(tape, v, s, lt), info_nce_node(tape, v, c, lt))
 

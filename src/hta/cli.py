@@ -8,6 +8,7 @@ Every run that writes an artifact also writes a reproducibility manifest
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -70,17 +71,13 @@ def _read_config_file(path) -> dict:
 
 def cmd_train(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
-    fields = {f: t for f, t in (
-        ("steps", int), ("base_lr", float), ("final_lr", float),
-        ("beta1", float), ("beta2", float), ("weight_decay", float),
-        ("clip_norm", float), ("init_tau", float), ("batch_size", int))}
     kwargs = {}
-    for name, cast in fields.items():
-        if name in file_cfg:
-            kwargs[name] = cast(file_cfg[name])
-        flag = getattr(args, name, None)
+    for f in dataclasses.fields(TrainConfig):
+        if f.name in file_cfg:
+            kwargs[f.name] = type(f.default)(file_cfg[f.name])
+        flag = getattr(args, f.name)
         if flag is not None:            # flags take precedence over the file
-            kwargs[name] = flag
+            kwargs[f.name] = flag
     config = TrainConfig(**kwargs)
 
     data = Path(args.data)
@@ -201,11 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="flat key=value TrainConfig file")
     t.add_argument("--data", required=True, help="dir with clips.hta + texts.json")
     t.add_argument("--out", required=True, help="checkpoint directory")
-    for name, cast in (("steps", int), ("base-lr", float), ("final-lr", float),
-                       ("beta1", float), ("beta2", float),
-                       ("weight-decay", float), ("clip-norm", float),
-                       ("init-tau", float), ("batch-size", int)):
-        t.add_argument(f"--{name}", type=cast, default=None)
+    for f in dataclasses.fields(TrainConfig):     # one flag per field
+        t.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=None)
     t.add_argument("--width", type=int, default=64, help="token width d")
     t.add_argument("--layers", type=int, default=4)
     t.add_argument("--heads", type=int, default=4)

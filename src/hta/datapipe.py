@@ -9,12 +9,12 @@ Output is one JSON line per ClipRecord.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
+import urllib.request
 from dataclasses import dataclass, field, asdict
-
-import requests
 
 log = logging.getLogger(__name__)
 
@@ -192,15 +192,18 @@ def summarize(texts: list[str], spec: SummarizerSpec,
 
 
 def _http_post(spec: SummarizerSpec, payload: dict) -> str:
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     if spec.api_key:
         headers["Authorization"] = f"Bearer {spec.api_key}"
     try:
-        resp = requests.post(spec.endpoint, json=payload, headers=headers,
-                             timeout=30)
-        resp.raise_for_status()
-        return resp.json()["output"]
-    except (requests.RequestException, KeyError, ValueError) as exc:
+        req = urllib.request.Request(spec.endpoint, method="POST",
+                                     data=json.dumps(payload).encode(),
+                                     headers=headers)
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return json.loads(resp.read())["output"]
+    # HTTP and URL errors and timeouts are OSErrors; bad JSON is a ValueError
+    except (OSError, http.client.HTTPException, KeyError, TypeError,
+            ValueError) as exc:
         raise TransportError(str(exc)) from exc
 
 

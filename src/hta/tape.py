@@ -39,24 +39,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def masked_softmax_value(logits: np.ndarray, mask_entries: np.ndarray) -> np.ndarray:
-    """Row softmax of logits with positions forbidden by the mask forced to 0.
+    """Last-axis softmax of logits with positions forbidden by the mask forced
+    to 0. The [s, s] mask broadcasts over any leading axes of the logits.
 
     Stabilized by subtracting the per-row max over *allowed* entries only.
     A fully masked row is a contract violation, never a silent NaN.
     """
     logits = _as_f64(logits)
-    if logits.shape != mask_entries.shape:
+    if logits.shape[-2:] != mask_entries.shape:
         raise ValueError(
             f"logits shape {logits.shape} does not match mask shape {mask_entries.shape}"
         )
-    forbidden = is_masked(mask_entries)
-    z = np.where(forbidden, -np.inf, logits)
-    m = z.max(axis=1, keepdims=True)   # max over allowed entries only
-    if not np.isfinite(m).all():
-        row = int(np.argmin(np.isfinite(m[:, 0])))
+    z = np.where(is_masked(mask_entries), -np.inf, logits)
+    m = z.max(axis=-1, keepdims=True)   # max over allowed entries only
+    bad = ~np.isfinite(m[..., 0])
+    if bad.any():
+        row = np.nonzero(bad)[-1][0]
         raise ValueError(f"fully masked row {row}: softmax undefined")
-    e = np.exp(z - m)                  # exp(-inf) = 0 at forbidden positions
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - m)                   # exp(-inf) = 0 at forbidden positions
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm_value(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -108,14 +109,6 @@ class Tape:
             (b, lambda g, s=bv.shape: _unbroadcast(g, s)),
         ])
 
-    def sub(self, a: int, b: int) -> int:
-        av, bv = self._vals[a], self._vals[b]
-        out = av - bv
-        return self._push(out, [
-            (a, lambda g, s=av.shape: _unbroadcast(g, s)),
-            (b, lambda g, s=bv.shape: -_unbroadcast(g, s)),
-        ])
-
     def mul(self, a: int, b: int) -> int:
         av, bv = self._vals[a], self._vals[b]
         out = av * bv
@@ -143,8 +136,26 @@ class Tape:
             (b, lambda g, o=av: o.T @ g),
         ])
 
-    def transpose(self, a: int) -> int:
-        return self._push(self._vals[a].T, [(a, lambda g: g.T)])
+    def bmm(self, a: int, b: int) -> int:
+        """Batched matmul [..., m, k] x [..., k, n] with equal leading axes."""
+        av, bv = self._vals[a], self._vals[b]
+        if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
+            raise ValueError(f"bmm shape mismatch: {av.shape} x {bv.shape}")
+        return self._push(av @ bv, [
+            (a, lambda g, o=bv: g @ o.swapaxes(-1, -2)),
+            (b, lambda g, o=av: o.swapaxes(-1, -2) @ g),
+        ])
+
+    def transpose(self, a: int, axes=None) -> int:
+        """np.transpose; the default reverses the axes."""
+        inv = None if axes is None else np.argsort(axes)
+        return self._push(np.transpose(self._vals[a], axes),
+                          [(a, lambda g, inv=inv: np.transpose(g, inv))])
+
+    def reshape(self, a: int, shape) -> int:
+        av = self._vals[a]
+        return self._push(av.reshape(shape),
+                          [(a, lambda g, s=av.shape: g.reshape(s))])
 
     def sum(self, a: int) -> int:
         av = self._vals[a]
@@ -157,44 +168,26 @@ class Tape:
 
     # -- structural primitives ---------------------------------------------
 
-    def take_rows(self, a: int, rows) -> int:
+    def take_rows(self, a: int, key, axis: int = 0) -> int:
+        """a[key] along `axis`; key is an integer index array or a slice."""
         av = self._vals[a]
-        rows = np.asarray(rows, dtype=np.int64)
+        idx = (slice(None),) * axis + (key,)
 
-        def vjp(g, rows=rows, shape=av.shape):
+        def vjp(g, idx=idx, shape=av.shape):
             out = np.zeros(shape)
-            np.add.at(out, rows, g)
+            np.add.at(out, idx, g)
             return out
 
-        return self._push(av[rows], [(a, vjp)])
+        return self._push(av[idx], [(a, vjp)])
 
-    def take_cols(self, a: int, start: int, stop: int) -> int:
-        av = self._vals[a]
-
-        def vjp(g, start=start, stop=stop, shape=av.shape):
-            out = np.zeros(shape)
-            out[:, start:stop] = g
-            return out
-
-        return self._push(av[:, start:stop], [(a, vjp)])
-
-    def concat_rows(self, ids: list[int]) -> int:
+    def concat_rows(self, ids: list[int], axis: int = 0) -> int:
         vals = [self._vals[i] for i in ids]
-        sizes = [v.shape[0] for v in vals]
-        offs = np.cumsum([0] + sizes)
+        offs = np.cumsum([0] + [v.shape[axis] for v in vals])
         parents = []
         for k, nid in enumerate(ids):
-            parents.append((nid, lambda g, a=offs[k], b=offs[k + 1]: g[a:b]))
-        return self._push(np.concatenate(vals, axis=0), parents)
-
-    def concat_cols(self, ids: list[int]) -> int:
-        vals = [self._vals[i] for i in ids]
-        sizes = [v.shape[1] for v in vals]
-        offs = np.cumsum([0] + sizes)
-        parents = []
-        for k, nid in enumerate(ids):
-            parents.append((nid, lambda g, a=offs[k], b=offs[k + 1]: g[:, a:b]))
-        return self._push(np.concatenate(vals, axis=1), parents)
+            idx = (slice(None),) * axis + (slice(offs[k], offs[k + 1]),)
+            parents.append((nid, lambda g, idx=idx: g[idx]))
+        return self._push(np.concatenate(vals, axis=axis), parents)
 
     def tile_rows(self, a: int, reps: int) -> int:
         """[n, d] -> [reps*n, d] by stacking copies (block order preserved)."""
@@ -239,7 +232,7 @@ class Tape:
         p = masked_softmax_value(self._vals[logits], mask_entries)
 
         def vjp(g, p=p):
-            return p * (g - (g * p).sum(axis=1, keepdims=True))
+            return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
         return self._push(p, [(logits, vjp)])
 

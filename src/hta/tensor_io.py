@@ -12,6 +12,8 @@ a manifest.json listing names, shapes and the model config.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -31,17 +33,25 @@ def write_tensor(path, array) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Load a tensor file. The header is checked against the file size before
+    anything it announces is read, so a malformed file raises ValueError."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if size < 8:
+            raise ValueError(f"{path}: truncated header")
         (rank,) = struct.unpack("<I", f.read(4))
-        shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
-            raise ValueError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<f4", count=count)
+        if 8 + 4 * rank > size:
+            raise ValueError(
+                f"{path}: truncated header: rank {rank} in {size} bytes")
+        shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+        count = math.prod(shape)
+        if 8 + 4 * rank + 4 * count > size:
+            raise ValueError(
+                f"{path}: truncated payload: shape {shape} in {size} bytes")
+        data = np.frombuffer(f.read(4 * count), dtype="<f4", count=count)
     return data.astype(np.float64).reshape(shape)
 
 

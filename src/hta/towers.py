@@ -3,16 +3,20 @@
 Per transformer layer the video tower applies, in order:
   1. spatially-local temporal attention over patch tokens only (SlT),
      with [CLS]/[MST] rows passed through untouched,
-  2. global spatio-temporal attention over the full stacked sequence (GST),
+  2. global spatio-temporal attention over each clip's full sequence (GST),
   3. an MLP, each step with a residual connection.
 The final-layer [CLS] row, linearly projected and L2-normalized, is the
 video embedding. The text tower is a deliberately simple stand-in:
 embedding + position lookup, mean pool, linear projection, L2 norm.
 
 All forward code is written against a `Tape` so the whole model is
-differentiable end to end. For training throughput a batch of B clips is
-encoded as one stacked sequence of B blocks with block-diagonal masks;
-the per-clip entry points are the B=1 case of the same code path.
+differentiable end to end. A batch of B clips is a [B*S, d] residual stream,
+clip after clip, so every linear layer, layer norm and GELU acts on plain
+rows. Attention alone regroups the rows into per-clip sequences on a leading
+batch axis: GST attends within each clip's S tokens under one shared S x S
+mask, and SlT attends within each (clip, spatial position) group of T patch
+tokens, which is exactly the SlT mask predicate, so it needs no mask at all.
+Single clips are the B=1 case of the same code path.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .masks import TokenLayout, gst_stacked_mask, slt_mask
-from .tape import MASK_NEG, Tape
+from .masks import TokenLayout, gst_stacked_mask
+from .tape import Tape
 
 
 @dataclass(frozen=True)
@@ -119,34 +123,17 @@ def patchify(clip: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(t * gh * gw, patch * patch * 3)
 
 
-# -- block-diagonal masks for batch-stacked sequences -------------------------
-
-def _block_diag(allowed: np.ndarray, b: int) -> np.ndarray:
-    big = np.kron(np.eye(b, dtype=np.uint8), allowed.astype(np.uint8))
-    return np.where(big.astype(bool), 0.0, MASK_NEG)
-
-
 @lru_cache(maxsize=32)
-def _slt_entries(layout: TokenLayout, b: int) -> np.ndarray:
-    return _block_diag(slt_mask(layout).entries == 0.0, b)
-
-
-@lru_cache(maxsize=32)
-def _gst_entries(layout: TokenLayout, direction: str, b: int) -> np.ndarray:
-    return _block_diag(gst_stacked_mask(layout, direction).entries == 0.0, b)
+def _gst_entries(layout: TokenLayout, direction: str) -> np.ndarray:
+    return gst_stacked_mask(layout, direction).entries
 
 
 # -- forward blocks ------------------------------------------------------------
 
-def embed_frames(tape: Tape, clip: np.ndarray, pid: dict[str, int],
-                 config: VideoTowerConfig) -> int:
-    """Patch tokens [T*N, d]: linear patch projection + spatial and temporal
-    position embeddings."""
-    return embed_frames_batch(tape, [clip], pid, config)
-
-
 def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
                        config: VideoTowerConfig) -> int:
+    """Patch tokens [B*T*N, d]: linear patch projection + spatial and temporal
+    position embeddings."""
     lay = config.layout
     rows = np.concatenate([patchify(c, config.patch) for c in clips], axis=0)
     if rows.shape[0] != len(clips) * lay.T * lay.N:
@@ -163,66 +150,66 @@ def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
 
 
 def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
-               mask_entries: np.ndarray, heads: int) -> int:
-    """Multi-head masked self-attention over rows of x (post-LN input)."""
-    d = tape.value(x).shape[1]
-    dh = d // heads
-    q = tape.add(tape.matmul(x, pid[f"{pre}.wq"]), pid[f"{pre}.bq"])
-    k = tape.add(tape.matmul(x, pid[f"{pre}.wk"]), pid[f"{pre}.bk"])
-    v = tape.add(tape.matmul(x, pid[f"{pre}.wv"]), pid[f"{pre}.bv"])
-    outs = []
-    for h in range(heads):
-        a, b = h * dh, (h + 1) * dh
-        qh, kh, vh = (tape.take_cols(n, a, b) for n in (q, k, v))
-        logits = tape.scale(tape.matmul(qh, tape.transpose(kh)), 1.0 / math.sqrt(dh))
-        attn = tape.masked_softmax(logits, mask_entries)
-        outs.append(tape.matmul(attn, vh))
-    merged = tape.concat_cols(outs) if heads > 1 else outs[0]
+               mask_entries: np.ndarray, heads: int, stride: int = 1) -> int:
+    """Multi-head masked self-attention over rows of x (post-LN input).
+
+    The rows form blocks of s * stride rows, s = len(mask_entries); within a
+    block, rows i and j share a sequence iff i = j mod stride. Each sequence
+    becomes one entry of a [blocks, stride, heads] batch of s x s attentions.
+    """
+    rows, d = tape.value(x).shape
+    s, dh = mask_entries.shape[0], d // heads
+    split = (rows // (s * stride), s, stride, heads, dh)
+
+    def project(w: str, axes) -> int:
+        y = tape.add(tape.matmul(x, pid[f"{pre}.w{w}"]), pid[f"{pre}.b{w}"])
+        return tape.transpose(tape.reshape(y, split), axes)
+
+    q = project("q", (0, 2, 3, 1, 4))        # [blocks, stride, heads, s, dh]
+    kt = project("k", (0, 2, 3, 4, 1))       # [blocks, stride, heads, dh, s]
+    v = project("v", (0, 2, 3, 1, 4))
+    logits = tape.scale(tape.bmm(q, kt), 1.0 / math.sqrt(dh))
+    out = tape.bmm(tape.masked_softmax(logits, mask_entries), v)
+    merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (rows, d))
     return tape.add(tape.matmul(merged, pid[f"{pre}.wo"]), pid[f"{pre}.bo"])
 
 
-def _check_shape(tape: Tape, z: int, lay: TokenLayout, b: int) -> None:
-    s = tape.value(z).shape
-    if s != (b * lay.seq_len, lay.d):
-        raise ValueError(f"sequence shape {s} != ({b} x {lay.seq_len}, {lay.d})")
-
-
-def _split_indices(lay: TokenLayout, b: int):
-    """Row indices of special ([CLS]+[MST]) and patch tokens in a B-block
-    stacked sequence, plus the permutation that reassembles block order."""
-    s, ns = lay.seq_len, 1 + lay.num_mst
-    base = np.arange(b)[:, None] * s
-    idx_special = (base + np.arange(ns)[None, :]).ravel()
-    idx_patch = (base + np.arange(ns, s)[None, :]).ravel()
-    perm = np.empty(b * s, dtype=np.int64)
-    perm[idx_special] = np.arange(b * ns)
-    perm[idx_patch] = b * ns + np.arange(b * (s - ns))
-    return idx_special, idx_patch, perm
+def _batch_size(tape: Tape, z: int, lay: TokenLayout) -> int:
+    """B of a [B*S, d] stream of B clip sequences; any other shape raises."""
+    rows, d = tape.value(z).shape
+    if rows == 0 or rows % lay.seq_len or d != lay.d:
+        raise ValueError(
+            f"sequence shape {(rows, d)} != (B x {lay.seq_len}, {lay.d})")
+    return rows // lay.seq_len
 
 
 def slt_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
-              config: VideoTowerConfig, batch: int = 1) -> int:
+              config: VideoTowerConfig) -> int:
     """Spatially-local temporal attention; [CLS]/[MST] rows bypass it."""
     lay = config.layout
-    _check_shape(tape, z, lay, batch)
-    idx_special, idx_patch, perm = _split_indices(lay, batch)
-    special = tape.take_rows(z, idx_special)
-    patches = tape.take_rows(z, idx_patch)
+    b = _batch_size(tape, z, lay)
+    ns = 1 + lay.num_mst
+    clips = tape.reshape(z, (b, lay.seq_len, lay.d))
+    special = tape.take_rows(clips, slice(0, ns), axis=1)
+    patches = tape.reshape(tape.take_rows(clips, slice(ns, None), axis=1),
+                           (-1, lay.d))
     pre = f"layer{layer}.slt"
     x = tape.layer_norm(patches, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
-    attn = _attention(tape, x, pre, pid, _slt_entries(lay, batch), config.heads)
-    updated = tape.add(attn, patches)
-    return tape.take_rows(tape.concat_rows([special, updated]), perm)
+    # frames of one spatial position are N rows apart within a clip's patches
+    attn = _attention(tape, x, pre, pid, np.zeros((lay.T, lay.T)), config.heads,
+                      stride=lay.N)
+    updated = tape.reshape(tape.add(attn, patches), (b, lay.T * lay.N, lay.d))
+    return tape.reshape(tape.concat_rows([special, updated], axis=1), (-1, lay.d))
 
 
 def gst_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
-              config: VideoTowerConfig, batch: int = 1) -> int:
-    """Global spatio-temporal attention over the stacked sequence, then MLP,
-    each with a residual."""
+              config: VideoTowerConfig) -> int:
+    """Global spatio-temporal attention within each clip, then MLP, each with
+    a residual."""
     lay = config.layout
-    _check_shape(tape, z, lay, batch)
+    _batch_size(tape, z, lay)
     pre = f"layer{layer}.gst"
-    mask = _gst_entries(lay, config.mst_self_direction, batch)
+    mask = _gst_entries(lay, config.mst_self_direction)
     x = tape.layer_norm(z, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
     z = tape.add(_attention(tape, x, pre, pid, mask, config.heads), z)
     m = f"layer{layer}.mlp"
@@ -236,53 +223,48 @@ def encode_video_batch(tape: Tape, clips, pid: dict[str, int],
     """Unit-norm video embeddings as a [B, D] tape node."""
     lay = config.layout
     b = len(clips)
-    patches = embed_frames_batch(tape, clips, pid, config)
+    patches = tape.reshape(embed_frames_batch(tape, clips, pid, config),
+                           (b, lay.T * lay.N, lay.d))
     specials = [pid["cls"]]
     if lay.num_mst:
         specials.append(pid["mst"])
-    special = tape.tile_rows(tape.concat_rows(specials)
-                             if len(specials) > 1 else specials[0], b)
-    _, _, perm = _split_indices(lay, b)
-    z = tape.take_rows(tape.concat_rows([special, patches]), perm)
+    special = tape.reshape(tape.tile_rows(tape.concat_rows(specials), b),
+                           (b, 1 + lay.num_mst, lay.d))
+    z = tape.reshape(tape.concat_rows([special, patches], axis=1), (-1, lay.d))
     for l in range(config.L):
-        z = slt_block(tape, z, l, pid, config, batch=b)
-        z = gst_block(tape, z, l, pid, config, batch=b)
+        z = slt_block(tape, z, l, pid, config)
+        z = gst_block(tape, z, l, pid, config)
     cls_rows = tape.take_rows(z, np.arange(b) * lay.seq_len)
     return tape.normalize_rows(tape.matmul(cls_rows, pid["head.w"]))
 
 
-def encode_video(tape: Tape, clip: np.ndarray, pid: dict[str, int],
-                 config: VideoTowerConfig) -> int:
-    """Unit-norm video embedding as a [1, D] tape node."""
-    return encode_video_batch(tape, [clip], pid, config)
-
-
-def encode_text(tape: Tape, token_ids, pid: dict[str, int],
+def encode_text(tape: Tape, token_lists, pid: dict[str, int],
                 config: TextTowerConfig) -> int:
-    """Unit-norm text embedding as a [1, D] tape node (mean-pool stand-in,
-    order-insensitive by construction)."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size == 0:
+    """Unit-norm text embeddings of B token lists as a [B, D] tape node
+    (mean-pool stand-in, order-insensitive by construction)."""
+    lens = [len(ids) for ids in token_lists]
+    if min(lens) == 0:
         raise ValueError("empty token sequence")
-    if ids.size > config.context:
+    if max(lens) > config.context:
         raise ValueError(
-            f"input has {ids.size} tokens, context length is {config.context}"
+            f"input has {max(lens)} tokens, context length is {config.context}"
         )
+    ids = np.concatenate([np.asarray(x, dtype=np.int64) for x in token_lists])
     if ids.min() < 0 or ids.max() >= config.vocab:
         raise ValueError("token id out of vocabulary range")
+    positions = np.concatenate([np.arange(n) for n in lens])
     x = tape.add(tape.take_rows(pid["text.emb"], ids),
-                 tape.take_rows(pid["text.pos"], np.arange(ids.size)))
-    pooled = tape.scale(tape.matmul(tape.constant(np.ones((1, ids.size))), x),
-                        1.0 / ids.size)
+                 tape.take_rows(pid["text.pos"], positions))
+    # row i of the pooling matrix averages the tokens of list i
+    pool = np.repeat(np.eye(len(lens)) / np.array(lens)[:, None], lens, axis=1)
+    pooled = tape.matmul(tape.constant(pool), x)
     return tape.normalize_rows(tape.matmul(pooled, pid["text.proj.w"]))
 
 
 def video_embedding(clip, params: dict[str, np.ndarray],
                     config: VideoTowerConfig) -> np.ndarray:
     """Forward-only convenience wrapper returning a [D] vector."""
-    tape = Tape()
-    pid = register_params(tape, params)
-    return tape.value(encode_video(tape, clip, pid, config))[0]
+    return video_embeddings([clip], params, config)[0]
 
 
 def video_embeddings(clips, params: dict[str, np.ndarray],
@@ -296,4 +278,4 @@ def text_embedding(token_ids, params: dict[str, np.ndarray],
                    config: TextTowerConfig) -> np.ndarray:
     tape = Tape()
     pid = register_params(tape, params)
-    return tape.value(encode_text(tape, token_ids, pid, config))[0]
+    return tape.value(encode_text(tape, [token_ids], pid, config))[0]

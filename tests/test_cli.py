@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from hta import cli
+from hta.alignment import TrainConfig
 from hta.cli import run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
 from hta.tensor_io import write_tensor
@@ -118,6 +121,41 @@ def test_train_smoke_and_config_precedence(tmp_path, capsys):
     assert "layer0.gst.wq" in manifest["params"]
     assert manifest["config"]["video"]["layout"] == [2, 4, 1, 1, 2]
     assert (tmp_path / "ckpt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_train_config_field_settable(tmp_path, monkeypatch, capsys, source):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_tensor(data / "clips.hta", np.zeros((2, 2, 8, 8, 3)))
+    (data / "texts.json").write_text(json.dumps(
+        {"subtitles": [[1], [2]], "captions": [[1], [2]]}))
+    seen = []
+
+    def fake_train(dataset, params, vcfg, tcfg, config, seed=0):
+        seen.append(config)
+        return [(0, 1.0, config.base_lr, config.init_tau)]
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    # a non-default value per field; a new field fails here until it is listed
+    want = {"steps": 7, "base_lr": 3e-3, "final_lr": 1e-4, "beta1": 0.8,
+            "beta2": 0.99, "weight_decay": 0.1, "clip_norm": 5.0,
+            "init_tau": 0.05, "batch_size": 3}
+    fields = dataclasses.fields(TrainConfig)
+    assert set(want) == {f.name for f in fields}
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "o"),
+            "--width", "8", "--layers", "1", "--heads", "2", "--embed-dim", "4",
+            "--hierarchies", "1", "--vocab", "16", "--context", "4"]
+    if source == "flag":
+        for name, value in want.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+    else:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in want.items()))
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 0
+    assert {f.name: getattr(seen[0], f.name) for f in fields} == want
+    assert all(want[f.name] != f.default for f in fields)
 
 
 def test_train_bad_clip_rank_exits_1(tmp_path, capsys):

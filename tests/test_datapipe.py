@@ -1,12 +1,15 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
 from hta.datapipe import (SUMMARIZE_PROMPT, ClipRecord, SummarizerSpec,
-                          TranscriptSentence, TransportError, caption_frames,
-                          clip_to_json, extract_clips, read_transcript_line,
-                          segment, stats, summarize, summarize_clips)
+                          TranscriptSentence, TransportError, _http_post,
+                          caption_frames, clip_to_json, extract_clips,
+                          read_transcript_line, segment, stats, summarize,
+                          summarize_clips)
 
 
 def make_words(texts, dur=1.0):
@@ -247,3 +250,62 @@ def test_clip_json_roundtrip():
     assert d["video_id"] == "v"
     assert d["sentence_range"] == [1, 3]
     assert d["scale"] == "short"
+
+
+# -- HTTP transport against a local server -------------------------------------
+
+
+class _Summarizer(BaseHTTPRequestHandler):
+    """POST /ok echoes a summary; /fail answers 500; /bad answers non-JSON;
+    /empty answers JSON without "output". Requests are logged on the server."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        auth = self.headers.get("Authorization")
+        self.server.seen.append((self.path, auth, body))
+        status, reply = {"/ok": (200, json.dumps({"output": "short summary"})),
+                         "/fail": (500, "server error"),
+                         "/bad": (200, "{not json"),
+                         "/empty": (200, "{}")}[self.path]
+        self.send_response(status)
+        self.end_headers()
+        self.wfile.write(reply.encode())
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def summarizer():
+    """(base URL, request log) of a summarizer on an ephemeral local port."""
+    server = HTTPServer(("127.0.0.1", 0), _Summarizer)
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", server.seen
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def test_http_post_success_sends_json_and_bearer(summarizer):
+    url, seen = summarizer
+    spec = SummarizerSpec(kind="external-llm", endpoint=url + "/ok", api_key="k3y")
+    payload = {"prompt": SUMMARIZE_PROMPT, "input": "a\nb"}
+    assert _http_post(spec, payload) == "short summary"
+    assert seen == [("/ok", "Bearer k3y", payload)]
+
+
+@pytest.mark.parametrize("path", ["/fail", "/bad", "/empty"])
+def test_http_post_failures_are_transport_errors(summarizer, path):
+    url, seen = summarizer
+    spec = SummarizerSpec(kind="external-llm", endpoint=url + path)
+    with pytest.raises(TransportError):
+        _http_post(spec, {"prompt": "p", "input": "x"})
+    assert seen[0][1] is None     # no key, no header
+
+
+def test_http_post_unreachable_and_bad_url_are_transport_errors():
+    for url in ("http://127.0.0.1:1/", "not a url"):
+        with pytest.raises(TransportError):
+            _http_post(SummarizerSpec(kind="external-llm", endpoint=url), {})

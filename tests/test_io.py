@@ -2,7 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hta.cli import run
 from hta.tensor_io import (MAGIC, load_checkpoint, read_tensor,
                            save_checkpoint, write_tensor)
 
@@ -41,6 +43,42 @@ def test_bad_magic_and_truncation(tmp_path):
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(q)
+
+
+def test_every_proper_prefix_raises_value_error(tmp_path, capsys):
+    good = tmp_path / "good.hta"
+    write_tensor(good, np.arange(6.0).reshape(2, 3))
+    raw = good.read_bytes()
+    p = tmp_path / "prefix.hta"
+    for n in range(len(raw)):
+        p.write_bytes(raw[:n])
+        with pytest.raises(ValueError):
+            read_tensor(p)
+        assert run(["eval", "--video-emb", str(p), "--text-emb", str(good)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_huge_header_extents_rejected_before_reading(tmp_path):
+    p = tmp_path / "huge.hta"
+    p.write_bytes(MAGIC + struct.pack("<I", 0xFFFFFFFF))
+    with pytest.raises(ValueError, match="rank 4294967295"):
+        read_tensor(p)
+    p.write_bytes(MAGIC + struct.pack("<III", 2, 0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(ValueError, match="truncated payload"):
+        read_tensor(p)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=64).map(lambda b: MAGIC + b)))
+def test_arbitrary_bytes_raise_only_value_error(tmp_path, blob):
+    p = tmp_path / "any.hta"
+    p.write_bytes(blob)
+    try:
+        read_tensor(p)
+    except ValueError:
+        pass
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -78,6 +78,31 @@ def test_masked_softmax_fully_masked_row_raises():
         masked_softmax_value(np.zeros((2, 3)), mask)
 
 
+def test_masked_softmax_broadcasts_mask_over_leading_axes():
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(2, 3, 4, 5))
+    mask = _mask_for(rng, (4, 5))
+    p = masked_softmax_value(logits, mask)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(p[i, j], masked_softmax_value(logits[i, j], mask))
+    with pytest.raises(ValueError, match="does not match"):
+        masked_softmax_value(logits, mask[:, :4])
+    blocked = mask.copy()
+    blocked[2] = MASK_NEG
+    with pytest.raises(ValueError, match="row 2"):
+        masked_softmax_value(logits, blocked)
+
+
+def test_bmm_shape_error_names_both_shapes():
+    t = Tape()
+    a = t.constant(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+        t.bmm(a, t.constant(np.zeros((3, 4, 2))))
+    with pytest.raises(ValueError, match="bmm"):
+        t.bmm(a, t.constant(np.zeros((2, 3, 2))))
+
+
 def test_masked_softmax_row_sums_and_exact_zeros():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -170,8 +195,6 @@ OPS = {
             lambda t, n: t.add(n[0], n[1])),
     "add_broadcast": (lambda r: [r.normal(size=(3, 4)), r.normal(size=4)],
                       lambda t, n: t.add(n[0], n[1])),
-    "sub": (lambda r: [r.normal(size=(2, 5)), r.normal(size=(2, 5))],
-            lambda t, n: t.sub(n[0], n[1])),
     "mul": (lambda r: [r.normal(size=(4, 3)), r.normal(size=(4, 3))],
             lambda t, n: t.mul(n[0], n[1])),
     "mul_scalar": (lambda r: [r.normal(size=(4, 3)), np.asarray(r.normal())],
@@ -180,8 +203,14 @@ OPS = {
               lambda t, n: t.scale(n[0], -1.7)),
     "matmul": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2))],
                lambda t, n: t.matmul(n[0], n[1])),
+    "bmm": (lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(2, 4, 2))],
+            lambda t, n: t.bmm(n[0], n[1])),
     "transpose": (lambda r: [r.normal(size=(2, 5))],
                   lambda t, n: t.transpose(n[0])),
+    "transpose_axes": (lambda r: [r.normal(size=(2, 3, 4))],
+                       lambda t, n: t.transpose(n[0], (1, 2, 0))),
+    "reshape": (lambda r: [r.normal(size=(2, 6))],
+                lambda t, n: t.reshape(n[0], (3, 2, 2))),
     "sum": (lambda r: [r.normal(size=(3, 4))], lambda t, n: t.sum(n[0])),
     "exp": (lambda r: [r.normal(size=(3, 3))], lambda t, n: t.exp(n[0])),
     "gelu": (lambda r: [r.normal(size=(4, 4))], lambda t, n: t.gelu(n[0])),
@@ -191,18 +220,21 @@ OPS = {
     "masked_softmax": (
         lambda r: [r.normal(size=(4, 5)), _mask_for(r, (4, 5))],
         lambda t, n: t.masked_softmax(n[0], t.value(n[1]))),
+    "masked_softmax_batched": (
+        lambda r: [r.normal(size=(2, 4, 5)), _mask_for(r, (4, 5))],
+        lambda t, n: t.masked_softmax(n[0], t.value(n[1]))),
     "normalize_rows": (lambda r: [r.normal(size=(3, 4)) + 0.5],
                        lambda t, n: t.normalize_rows(n[0])),
     "cross_entropy_diag": (lambda r: [r.normal(size=(4, 4))],
                            lambda t, n: t.cross_entropy_diag(n[0])),
     "take_rows": (lambda r: [r.normal(size=(5, 3))],
                   lambda t, n: t.take_rows(n[0], np.array([4, 0, 0, 2]))),
-    "take_cols": (lambda r: [r.normal(size=(3, 6))],
-                  lambda t, n: t.take_cols(n[0], 1, 4)),
+    "take_rows_axis": (lambda r: [r.normal(size=(2, 5, 3))],
+                       lambda t, n: t.take_rows(n[0], slice(1, 4), axis=1)),
     "concat_rows": (lambda r: [r.normal(size=(2, 3)), r.normal(size=(4, 3))],
                     lambda t, n: t.concat_rows([n[0], n[1]])),
-    "concat_cols": (lambda r: [r.normal(size=(3, 2)), r.normal(size=(3, 4))],
-                    lambda t, n: t.concat_cols([n[0], n[1]])),
+    "concat_rows_axis": (lambda r: [r.normal(size=(3, 2)), r.normal(size=(3, 4))],
+                         lambda t, n: t.concat_rows([n[0], n[1]], axis=1)),
     "tile_rows": (lambda r: [r.normal(size=(2, 3))],
                   lambda t, n: t.tile_rows(n[0], 3)),
     "repeat_rows": (lambda r: [r.normal(size=(2, 3))],
@@ -212,6 +244,7 @@ OPS = {
 DIFFERENTIABLE_LEAVES = {
     # masked_softmax's second input is a constant mask, not differentiated
     "masked_softmax": [0],
+    "masked_softmax_batched": [0],
 }
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from conftest import rel_err
-from hta.masks import TokenLayout, gst_stacked_mask
+from hta.masks import TokenLayout, gst_stacked_mask, slt_mask
 from hta.tape import Tape, layer_norm_value, masked_softmax_value
-from hta.towers import (TextTowerConfig, VideoTowerConfig, embed_frames,
-                        encode_text, encode_video, gst_block,
+from hta.towers import (TextTowerConfig, VideoTowerConfig, embed_frames_batch,
+                        encode_text, encode_video_batch, gst_block,
                         init_text_params, init_video_params, patchify,
                         register_params, slt_block, text_embedding,
                         video_embedding, video_embeddings)
@@ -36,7 +37,7 @@ def test_config_validation():
         VideoTowerConfig(layout=FIG3, L=0, heads=2)
 
 
-# -- embed_frames ---------------------------------------------------------
+# -- embed_frames_batch---------------------------------------------------
 
 
 def test_patchify_counts():
@@ -50,7 +51,7 @@ def test_embed_zero_clip_gives_position_sums():
     params = fig3_params(randomize_slt=True)
     tape = Tape()
     pid = register_params(tape, params)
-    out = tape.value(embed_frames(tape, np.zeros((4, 8, 8, 3)), pid, CFG))
+    out = tape.value(embed_frames_batch(tape, [np.zeros((4, 8, 8, 3))], pid, CFG))
     expected = (np.tile(params["pos.spatial"], (4, 1))
                 + np.repeat(params["pos.temporal"], 4, axis=0))
     assert np.allclose(out, expected)
@@ -63,8 +64,8 @@ def test_embed_frame_permutation():
     swapped = clip[[1, 0, 2, 3]]
     tape = Tape()
     pid = register_params(tape, params)
-    e1 = tape.value(embed_frames(tape, clip, pid, CFG))
-    e2 = tape.value(embed_frames(tape, swapped, pid, CFG))
+    e1 = tape.value(embed_frames_batch(tape, [clip], pid, CFG))
+    e2 = tape.value(embed_frames_batch(tape, [swapped], pid, CFG))
     tpos = params["pos.temporal"]
     # content moves with the frame, temporal embedding stays with the slot
     assert np.allclose(e2[0:4] - tpos[0], e1[4:8] - tpos[1])
@@ -195,6 +196,54 @@ def test_gst_block_frame_isolation():
     assert np.array_equal(o1[1:], o3[1:])
 
 
+# -- blocks vs an independent per-clip recomputation --------------------------
+
+
+def reference_attention(z, params, pre, mask_entries, heads):
+    """Residual plus pre-LN multi-head attention over the rows of z under an
+    additive mask, in plain numpy."""
+    mu, var = z.mean(axis=1, keepdims=True), z.var(axis=1, keepdims=True)
+    x = (z - mu) / np.sqrt(var + 1e-5)
+    x = x * params[f"{pre}.ln.g"] + params[f"{pre}.ln.b"]
+    q, k, v = (x @ params[f"{pre}.w{c}"] + params[f"{pre}.b{c}"] for c in "qkv")
+    dh = z.shape[1] // heads
+    out = np.zeros_like(z)
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        logits = q[:, cols] @ k[:, cols].T / np.sqrt(dh) + mask_entries
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out[:, cols] = w / w.sum(axis=1, keepdims=True) @ v[:, cols]
+    return z + out @ params[f"{pre}.wo"] + params[f"{pre}.bo"]
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("lay", [FIG3, TokenLayout(T=3, N=2, U=1, V=2, r=2, d=8)])
+def test_blocks_match_per_clip_recomputation(lay, b):
+    # the batched blocks against each clip's flat sequence under the mask
+    # family's own entries: pins the SlT regroup to the SlT predicate
+    cfg = VideoTowerConfig(layout=lay, L=1, heads=2, D=4, patch=4)
+    rng = np.random.default_rng(22 + b)
+    params = {k: rng.normal(0.0, 0.3, v.shape)
+              for k, v in init_video_params(cfg, rng).items()}
+    s, ns = lay.seq_len, 1 + lay.num_mst
+    z = rng.normal(size=(b * s, lay.d))
+    tape = Tape()
+    pid = register_params(tape, params)
+    slt = tape.value(slt_block(tape, tape.constant(z), 0, pid, cfg))
+    gst = tape.value(gst_block(tape, tape.constant(z), 0, pid, cfg))
+    for c in range(b):
+        zc = z[c * s:(c + 1) * s]
+        want = np.vstack([zc[:ns], reference_attention(
+            zc[ns:], params, "layer0.slt", slt_mask(lay).entries, cfg.heads)])
+        assert np.abs(slt[c * s:(c + 1) * s] - want).max() <= 1e-12
+        y = reference_attention(zc, params, "layer0.gst",
+                                gst_stacked_mask(lay).entries, cfg.heads)
+        hid = y @ params["layer0.mlp.w1"] + params["layer0.mlp.b1"]
+        hid = hid * 0.5 * (1.0 + erf(hid / np.sqrt(2.0)))
+        want = y + hid @ params["layer0.mlp.w2"] + params["layer0.mlp.b2"]
+        assert np.abs(gst[c * s:(c + 1) * s] - want).max() <= 1e-12
+
+
 # -- encode_video / encode_text ----------------------------------------------
 
 
@@ -227,12 +276,9 @@ def test_static_clip_frame_symmetry_at_init():
     clip = np.stack([frame] * 4)
     tape = Tape()
     pid = register_params(tape, params)
-    from hta.towers import embed_frames_batch, _split_indices
-    patches = embed_frames_batch(tape, [clip], pid, CFG)
-    _, _, perm = _split_indices(FIG3, 1)
-    z = tape.take_rows(tape.concat_rows(
-        [tape.tile_rows(tape.concat_rows([pid["cls"], pid["mst"]]), 1),
-         patches]), perm)
+    # a one-clip sequence is [CLS; MST; patches] in token order
+    z = tape.concat_rows([pid["cls"], pid["mst"],
+                          embed_frames_batch(tape, [clip], pid, CFG)])
     for l in range(CFG.L):
         z = slt_block(tape, z, l, pid, CFG)
         z = gst_block(tape, z, l, pid, CFG)
@@ -247,11 +293,29 @@ def test_encode_text_errors():
     tape = Tape()
     pid = register_params(tape, params)
     with pytest.raises(ValueError, match="empty"):
-        encode_text(tape, [], pid, TCFG)
+        encode_text(tape, [[]], pid, TCFG)
+    with pytest.raises(ValueError, match="empty"):
+        encode_text(tape, [[1, 2], []], pid, TCFG)
     with pytest.raises(ValueError, match="7 tokens"):
-        encode_text(tape, [1] * 7, pid, TCFG)
+        encode_text(tape, [[1] * 7], pid, TCFG)
+    with pytest.raises(ValueError, match="7 tokens"):
+        encode_text(tape, [[3], [1] * 7], pid, TCFG)
     with pytest.raises(ValueError, match="vocabulary"):
-        encode_text(tape, [99], pid, TCFG)
+        encode_text(tape, [[99]], pid, TCFG)
+    with pytest.raises(ValueError, match="vocabulary"):
+        encode_text(tape, [[1], [2, -1]], pid, TCFG)
+
+
+def test_encode_text_batch_matches_single():
+    rng = np.random.default_rng(21)
+    params = init_text_params(TCFG, rng)
+    lists = [[3], [1, 5, 2, 9], [0] * 6, [15, 15]]
+    tape = Tape()
+    pid = register_params(tape, params)
+    batch = tape.value(encode_text(tape, lists, pid, TCFG))
+    singles = np.stack([text_embedding(x, params, TCFG) for x in lists])
+    assert batch.shape == (4, TCFG.D)
+    assert np.allclose(batch, singles, rtol=0.0, atol=1e-12)
 
 
 def test_encode_text_single_token():
@@ -295,12 +359,12 @@ def test_encode_video_gradient_probe():
     def scalar():
         tape = Tape()
         pid = register_params(tape, params)
-        out = encode_video(tape, clip, pid, CFG)
+        out = encode_video_batch(tape, [clip], pid, CFG)
         return float(tape.value(tape.sum(tape.mul(out, tape.constant(probe)))))
 
     tape = Tape()
     pid = register_params(tape, params)
-    out = encode_video(tape, clip, pid, CFG)
+    out = encode_video_batch(tape, [clip], pid, CFG)
     root = tape.sum(tape.mul(out, tape.constant(probe)))
     grads = tape.backward(root)
     h = 1e-6
