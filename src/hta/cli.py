@@ -71,8 +71,12 @@ def _read_config_file(path) -> dict:
 
 def cmd_train(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
+    fields = dataclasses.fields(TrainConfig)
+    unknown = sorted(set(file_cfg) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys {unknown}")
     kwargs = {}
-    for f in dataclasses.fields(TrainConfig):
+    for f in fields:
         if f.name in file_cfg:
             kwargs[f.name] = type(f.default)(file_cfg[f.name])
         flag = getattr(args, f.name)
@@ -139,11 +143,8 @@ def cmd_curate(args) -> int:
     scales = tuple(float(x) for x in args.scales.split(","))
     if len(scales) != 3:
         raise ValueError(f"--scales wants three targets, got {args.scales!r}")
-    if args.summarizer == "fallback":
-        spec = datapipe.SummarizerSpec(kind="extractive-fallback")
-    else:
-        spec = datapipe.SummarizerSpec(kind="external-llm",
-                                       endpoint=args.summarizer)
+    endpoint = "" if args.summarizer == "fallback" else args.summarizer
+    spec = datapipe.SummarizerSpec(endpoint=endpoint)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_clips = []

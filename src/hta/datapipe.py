@@ -21,9 +21,10 @@ log = logging.getLogger(__name__)
 SCALE_NAMES = ("short", "medium", "long")
 DEFAULT_SCALES = (13.0, 30.0, 60.0)
 
+WORD_CAP = 25
 SUMMARIZE_PROMPT = ("Summarize the following sentences into a single sentence, "
-                    "not exceeding 25 words. Do not output any additional text "
-                    "and use any external information.")
+                    f"not exceeding {WORD_CAP} words. Do not output any additional "
+                    "text and use any external information.")
 
 
 class TransportError(RuntimeError):
@@ -64,16 +65,10 @@ class ClipRecord:
 
 @dataclass(frozen=True)
 class SummarizerSpec:
-    kind: str = "extractive-fallback"    # or "external-llm"
+    """An external LLM endpoint; an empty endpoint selects the extractive
+    fallback."""
     endpoint: str = ""
     api_key: str = ""
-    word_cap: int = 25
-
-    def __post_init__(self):
-        if self.kind not in ("external-llm", "extractive-fallback"):
-            raise ValueError(f"unknown summarizer kind {self.kind!r}")
-        if self.kind == "external-llm" and not self.endpoint:
-            raise ValueError("external-llm summarizer needs an endpoint")
 
 
 TERMINALS = (".", "!", "?")
@@ -165,9 +160,9 @@ def caption_frames(clip: ClipRecord, fps: float) -> list[float]:
     return [clip.start + k / fps for k in range(count)]
 
 
-def _fallback_summary(texts: list[str], word_cap: int) -> str:
+def _fallback_summary(texts: list[str]) -> str:
     words = " ".join(texts).split()
-    return " ".join(words[:word_cap])
+    return " ".join(words[:WORD_CAP])
 
 
 def summarize(texts: list[str], spec: SummarizerSpec,
@@ -176,8 +171,8 @@ def summarize(texts: list[str], spec: SummarizerSpec,
     the extractive fallback. `post` injects the HTTP transport for tests."""
     if not texts:
         raise ValueError("nothing to summarize")
-    if spec.kind == "extractive-fallback":
-        return _fallback_summary(texts, spec.word_cap)
+    if not spec.endpoint:
+        return _fallback_summary(texts)
     payload = {"prompt": SUMMARIZE_PROMPT, "input": "\n".join(texts)}
     post = post or _http_post
     last = None
@@ -188,7 +183,7 @@ def summarize(texts: list[str], spec: SummarizerSpec,
             last = exc
             log.warning("summarizer attempt %d failed: %s", attempt + 1, exc)
     log.warning("summarizer unreachable (%s); using extractive fallback", last)
-    return _fallback_summary(texts, spec.word_cap)
+    return _fallback_summary(texts)
 
 
 def _http_post(spec: SummarizerSpec, payload: dict) -> str:

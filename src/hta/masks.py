@@ -5,8 +5,10 @@ position 0 is [CLS]; positions 1 .. U*V hold the [MST] tokens (the first V at
 hierarchy level 0, the next V at level 1, ...); the remaining T*N positions are
 patch tokens in frame-major order, frame t patch n at 1 + U*V + t*N + n.
 
-Masks are additive {0, blocked} bias matrices; blocked positions carry the
-most-negative finite float64 (tape.MASK_NEG) and serialize as "-inf".
+A mask is a plain float64 array of additive biases: 0 where attention is
+allowed, and the most-negative finite float64 (tape.MASK_NEG) where it is
+blocked, which serializes as "-inf". `slt_mask` is [T*N, T*N] over patch
+tokens; `gst_stacked_mask` is [S, S] over the full sequence.
 """
 
 from __future__ import annotations
@@ -45,106 +47,45 @@ class TokenLayout:
         return 1 + self.num_mst + t * self.N + n
 
 
-@dataclass(frozen=True)
-class AdditiveMask:
-    rows: int
-    cols: int
-    entries: np.ndarray   # values in {0, MASK_NEG}
-    family: str           # "SlT" or "GST-stacked" (sub-blocks keep GST-*)
-
-    def __post_init__(self):
-        if self.entries.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"mask entries shape {self.entries.shape} != ({self.rows}, {self.cols})"
-            )
-        blocked = is_masked(self.entries)
-        if not np.all((self.entries == 0.0) | blocked):
-            raise ValueError("mask entries must be 0 or the blocked sentinel")
-        if blocked.all(axis=1).any():
-            raise ValueError("mask has a fully blocked row")
-
-
-def _mask(allowed: np.ndarray, family: str) -> AdditiveMask:
-    entries = np.where(allowed, 0.0, MASK_NEG)
-    return AdditiveMask(entries.shape[0], entries.shape[1], entries, family)
-
-
-def slt_mask(layout: TokenLayout) -> AdditiveMask:
+def slt_mask(layout: TokenLayout) -> np.ndarray:
     """Spatially-local temporal mask over patch tokens: (i, j) allowed iff the
     two patches share a spatial position, i.e. |j - i| = 0 mod N."""
-    tn = layout.T * layout.N
-    idx = np.arange(tn)
+    idx = np.arange(layout.T * layout.N)
     allowed = (np.abs(idx[None, :] - idx[:, None]) % layout.N) == 0
-    return _mask(allowed, "SlT")
+    return np.where(allowed, 0.0, MASK_NEG)
 
 
-def gst_patch_mask(layout: TokenLayout) -> AdditiveMask:
-    """Patch-row block of the global mask: a patch attends every [MST] token
-    and the patches of its own frame, but never the [CLS] token."""
-    tn = layout.T * layout.N
-    allowed = np.zeros((tn, layout.seq_len), dtype=bool)
-    allowed[:, 1:1 + layout.num_mst] = True
-    frame = np.arange(tn) // layout.N
-    same_frame = frame[:, None] == frame[None, :]
-    allowed[:, 1 + layout.num_mst:] = same_frame
-    return _mask(allowed, "GST-patch")
+def gst_stacked_mask(layout: TokenLayout) -> np.ndarray:
+    """Square mask for global spatio-temporal attention, rows [cls; mst; patch].
 
-
-def gst_mst_mask(layout: TokenLayout,
-                 mst_self_direction: str = "finer_or_equal") -> AdditiveMask:
-    """[MST]-row block: a level-u token attends [MST] tokens at levels <= u
-    (default direction) and the patches of every r^u-th frame; never [CLS].
-
-    mst_self_direction="coarser_or_equal" flips the self predicate to
-    levels >= u, the alternative reading of the hierarchy diagram.
+    [CLS] attends everything. A level-u [MST] token attends the [MST] tokens
+    at levels <= u and the patches of every r^u-th frame. A patch attends
+    every [MST] token and the patches of its own frame. Only [CLS] attends
+    [CLS].
     """
-    if mst_self_direction not in ("finer_or_equal", "coarser_or_equal"):
-        raise ValueError(f"unknown mst_self_direction {mst_self_direction!r}")
-    uv, tn = layout.num_mst, layout.T * layout.N
-    allowed = np.zeros((uv, layout.seq_len), dtype=bool)
+    uv = layout.num_mst
+    mst, patch = slice(1, 1 + uv), slice(1 + uv, layout.seq_len)
     level = np.arange(uv) // layout.V
-    if mst_self_direction == "finer_or_equal":
-        self_allowed = level[:, None] >= level[None, :]
-    else:
-        self_allowed = level[:, None] <= level[None, :]
-    allowed[:, 1:1 + uv] = self_allowed
-    frame = np.arange(tn) // layout.N
-    stride = layout.r ** level
-    allowed[:, 1 + uv:] = (frame[None, :] % stride[:, None]) == 0
-    return _mask(allowed, "GST-mst")
+    frame = np.arange(layout.T * layout.N) // layout.N
+    allowed = np.zeros((layout.seq_len, layout.seq_len), dtype=bool)
+    allowed[0] = True
+    allowed[mst, mst] = level[:, None] >= level[None, :]
+    allowed[mst, patch] = (frame[None, :] % layout.r ** level[:, None]) == 0
+    allowed[patch, mst] = True
+    allowed[patch, patch] = frame[:, None] == frame[None, :]
+    return np.where(allowed, 0.0, MASK_NEG)
 
 
-def gst_cls_mask(layout: TokenLayout) -> AdditiveMask:
-    """[CLS] row: attends everything (pure aggregator)."""
-    return _mask(np.ones((1, layout.seq_len), dtype=bool), "GST-cls")
-
-
-def gst_stacked_mask(layout: TokenLayout,
-                     mst_self_direction: str = "finer_or_equal") -> AdditiveMask:
-    """Full square mask for global spatio-temporal attention:
-    rows stacked as [cls; mst; patch]."""
-    blocks = [gst_cls_mask(layout).entries]
-    if layout.num_mst:
-        blocks.append(gst_mst_mask(layout, mst_self_direction).entries)
-    blocks.append(gst_patch_mask(layout).entries)
-    entries = np.vstack(blocks)
-    return AdditiveMask(layout.seq_len, layout.seq_len, entries, "GST-stacked")
-
-
-def mask_to_csv(mask: AdditiveMask) -> str:
+def mask_to_csv(mask: np.ndarray) -> str:
     """CSV rows of "0"/"-inf"."""
-    lines = []
-    blocked = is_masked(mask.entries)
-    for i in range(mask.rows):
-        lines.append(",".join("-inf" if blocked[i, j] else "0"
-                              for j in range(mask.cols)))
+    lines = [",".join("-inf" if b else "0" for b in row)
+             for row in is_masked(mask).tolist()]
     return "\n".join(lines) + "\n"
 
 
-def mask_to_pgm(mask: AdditiveMask) -> str:
+def mask_to_pgm(mask: np.ndarray) -> str:
     """ASCII PGM: allowed -> white (255), blocked -> black (0)."""
-    blocked = is_masked(mask.entries)
-    body = "\n".join(" ".join("0" if blocked[i, j] else "255"
-                              for j in range(mask.cols))
-                     for i in range(mask.rows))
-    return f"P2\n{mask.cols} {mask.rows}\n255\n{body}\n"
+    rows, cols = mask.shape
+    body = "\n".join(" ".join("0" if b else "255" for b in row)
+                     for row in is_masked(mask).tolist())
+    return f"P2\n{cols} {rows}\n255\n{body}\n"

@@ -19,8 +19,7 @@ def reference_slt_mask(layout: TokenLayout) -> np.ndarray:
     return out
 
 
-def reference_stacked_mask(layout: TokenLayout,
-                           mst_self_direction: str = "finer_or_equal") -> np.ndarray:
+def reference_stacked_mask(layout: TokenLayout) -> np.ndarray:
     """Square global mask, rows [cls; mst; patch], evaluated predicate by
     predicate. Patch and [MST] rows never attend the [CLS] column."""
     s = layout.seq_len
@@ -43,12 +42,7 @@ def reference_stacked_mask(layout: TokenLayout,
             for j in range(s):
                 kind, k = col_kind(j)
                 if kind == "mst":
-                    other = k // layout.V
-                    if mst_self_direction == "finer_or_equal":
-                        allowed = level >= other
-                    else:
-                        allowed = level <= other
-                    if allowed:
+                    if level >= k // layout.V:
                         out[row, j] = 0.0
                 elif kind == "patch":
                     if (k // n) % (layout.r ** level) == 0:

@@ -20,13 +20,12 @@ def run(seed: int = 0) -> int:
     ok = True
     for t, n, u, v, r in ((4, 4, 2, 1, 2), (2, 1, 0, 1, 2), (8, 9, 3, 4, 3)):
         lay = TokenLayout(T=t, N=n, U=u, V=v, r=r)
-        ok &= np.array_equal(gst_stacked_mask(lay).entries,
-                             reference_stacked_mask(lay))
+        ok &= np.array_equal(gst_stacked_mask(lay), reference_stacked_mask(lay))
     checks.append(("mask oracle equivalence", ok))
 
     # Masked softmax: rows sum to 1, blocked entries exactly zero.
     lay = TokenLayout(T=4, N=4, U=2, V=1, r=2)
-    mask = slt_mask(lay).entries
+    mask = slt_mask(lay)
     logits = rng.normal(size=mask.shape)
     p = masked_softmax_value(logits, mask)
     checks.append(("masked softmax rows", np.allclose(p.sum(axis=1), 1.0, atol=1e-12)

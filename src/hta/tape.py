@@ -189,25 +189,11 @@ class Tape:
             parents.append((nid, lambda g, idx=idx: g[idx]))
         return self._push(np.concatenate(vals, axis=axis), parents)
 
-    def tile_rows(self, a: int, reps: int) -> int:
-        """[n, d] -> [reps*n, d] by stacking copies (block order preserved)."""
+    def broadcast_to(self, a: int, shape) -> int:
+        """np.broadcast_to (a read-only view), e.g. [n, d] -> [b, n, d]."""
         av = self._vals[a]
-        n = av.shape[0]
-
-        def vjp(g, n=n, reps=reps):
-            return g.reshape(reps, n, -1).sum(axis=0)
-
-        return self._push(np.tile(av, (reps, 1)), [(a, vjp)])
-
-    def repeat_rows(self, a: int, reps: int) -> int:
-        """[n, d] -> [n*reps, d] with each row repeated `reps` times."""
-        av = self._vals[a]
-        n = av.shape[0]
-
-        def vjp(g, n=n, reps=reps):
-            return g.reshape(n, reps, -1).sum(axis=1)
-
-        return self._push(np.repeat(av, reps, axis=0), [(a, vjp)])
+        return self._push(np.broadcast_to(av, shape),
+                          [(a, lambda g, s=av.shape: _unbroadcast(g, s))])
 
     # -- fused nonlinear primitives ------------------------------------------
 

@@ -20,10 +20,16 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"HTA1"
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def write_tensor(path, array) -> None:
+    """Write a tensor file. Values float32 cannot hold (NaN, infinities and
+    magnitudes above its maximum) raise ValueError before the file is opened."""
     a = np.asarray(array, dtype=np.float64)
+    if not np.all(np.abs(a) <= F32_MAX):      # False for NaN as well
+        raise ValueError(f"{path}: values are NaN, infinite or beyond float32 "
+                         f"range (|x| <= {F32_MAX:.7g})")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", a.ndim))
@@ -61,13 +67,21 @@ def _safe_name(name: str) -> str:
 
 def save_checkpoint(directory, params: dict[str, np.ndarray],
                     config: dict | None = None) -> None:
+    """Two names that map to one file raise ValueError before anything is
+    written."""
+    files: dict[str, str] = {}
+    for name in params:
+        fname = _safe_name(name) + ".hta"
+        other = files.setdefault(fname, name)
+        if other != name:
+            raise ValueError(f"parameters {other!r} and {name!r} both map to {fname}")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     manifest = {"params": {}, "config": config or {}}
-    for name, value in params.items():
-        fname = _safe_name(name) + ".hta"
-        write_tensor(d / fname, value)
-        manifest["params"][name] = {"file": fname, "shape": list(np.shape(value))}
+    for fname, name in files.items():
+        write_tensor(d / fname, params[name])
+        manifest["params"][name] = {"file": fname,
+                                    "shape": list(np.shape(params[name]))}
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 

@@ -39,7 +39,6 @@ class VideoTowerConfig:
     D: int = 32
     mlp_ratio: int = 4
     patch: int = 4              # patch side P; frames are H x W x 3, H,W % P == 0
-    mst_self_direction: str = "finer_or_equal"
 
     def __post_init__(self):
         if self.layout.d % self.heads != 0:
@@ -124,8 +123,8 @@ def patchify(clip: np.ndarray, patch: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _gst_entries(layout: TokenLayout, direction: str) -> np.ndarray:
-    return gst_stacked_mask(layout, direction).entries
+def _gst_entries(layout: TokenLayout) -> np.ndarray:
+    return gst_stacked_mask(layout)
 
 
 # -- forward blocks ------------------------------------------------------------
@@ -143,10 +142,10 @@ def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
         )
     x = tape.matmul(tape.constant(rows), pid["patch_proj.w"])
     x = tape.add(x, pid["patch_proj.b"])
-    x = tape.add(x, tape.tile_rows(pid["pos.spatial"], lay.T * len(clips)))
-    x = tape.add(x, tape.tile_rows(tape.repeat_rows(pid["pos.temporal"], lay.N),
-                                   len(clips)))
-    return x
+    x = tape.reshape(x, (len(clips), lay.T, lay.N, lay.d))
+    x = tape.add(x, pid["pos.spatial"])
+    x = tape.add(x, tape.reshape(pid["pos.temporal"], (lay.T, 1, lay.d)))
+    return tape.reshape(x, (-1, lay.d))
 
 
 def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
@@ -209,7 +208,7 @@ def gst_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
     lay = config.layout
     _batch_size(tape, z, lay)
     pre = f"layer{layer}.gst"
-    mask = _gst_entries(lay, config.mst_self_direction)
+    mask = _gst_entries(lay)
     x = tape.layer_norm(z, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
     z = tape.add(_attention(tape, x, pre, pid, mask, config.heads), z)
     m = f"layer{layer}.mlp"
@@ -228,8 +227,8 @@ def encode_video_batch(tape: Tape, clips, pid: dict[str, int],
     specials = [pid["cls"]]
     if lay.num_mst:
         specials.append(pid["mst"])
-    special = tape.reshape(tape.tile_rows(tape.concat_rows(specials), b),
-                           (b, 1 + lay.num_mst, lay.d))
+    special = tape.broadcast_to(tape.concat_rows(specials),
+                                (b, 1 + lay.num_mst, lay.d))
     z = tape.reshape(tape.concat_rows([special, patches], axis=1), (-1, lay.d))
     for l in range(config.L):
         z = slt_block(tape, z, l, pid, config)

@@ -158,6 +158,15 @@ def test_every_train_config_field_settable(tmp_path, monkeypatch, capsys, source
     assert all(want[f.name] != f.default for f in fields)
 
 
+def test_train_config_unknown_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("steps = 2\nstpes = 1\n")
+    assert run(["train", "--config", str(cfg), "--data", str(tmp_path),
+                "--out", str(tmp_path / "o")]) == 1
+    assert "stpes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_bad_clip_rank_exits_1(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -5,11 +5,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from hta.datapipe import (SUMMARIZE_PROMPT, ClipRecord, SummarizerSpec,
-                          TranscriptSentence, TransportError, _http_post,
-                          caption_frames, clip_to_json, extract_clips,
-                          read_transcript_line, segment, stats, summarize,
-                          summarize_clips)
+from hta.datapipe import (SUMMARIZE_PROMPT, WORD_CAP, ClipRecord,
+                          SummarizerSpec, TranscriptSentence, TransportError,
+                          _http_post, caption_frames, clip_to_json,
+                          extract_clips, read_transcript_line, segment, stats,
+                          summarize, summarize_clips)
 
 
 def make_words(texts, dur=1.0):
@@ -157,11 +157,14 @@ def test_summarize_empty_errors():
         summarize([], SummarizerSpec())
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError, match="endpoint"):
-        SummarizerSpec(kind="external-llm")
-    with pytest.raises(ValueError, match="kind"):
-        SummarizerSpec(kind="magic")
+def test_empty_endpoint_is_extractive_fallback():
+    def unused(spec, payload):
+        raise AssertionError("no endpoint, so no transport call")
+
+    text = " ".join(f"w{i}" for i in range(40))
+    out = summarize([text], SummarizerSpec(), post=unused)
+    assert out.split() == text.split()[:WORD_CAP]
+    assert f"not exceeding {WORD_CAP} words" in SUMMARIZE_PROMPT
 
 
 def test_external_summarizer_payload_and_output():
@@ -171,7 +174,7 @@ def test_external_summarizer_payload_and_output():
         seen.update(payload)
         return "a short summary."
 
-    spec = SummarizerSpec(kind="external-llm", endpoint="http://example/api")
+    spec = SummarizerSpec(endpoint="http://example/api")
     out = summarize(["first text", "second text"], spec, post=fake_post)
     assert out == "a short summary."
     assert seen["prompt"] == SUMMARIZE_PROMPT
@@ -187,7 +190,7 @@ def test_external_summarizer_retry_then_success():
             raise TransportError("boom")
         return "recovered"
 
-    spec = SummarizerSpec(kind="external-llm", endpoint="http://example/api")
+    spec = SummarizerSpec(endpoint="http://example/api")
     assert summarize(["x"], spec, post=flaky) == "recovered"
     assert len(calls) == 2
 
@@ -196,7 +199,7 @@ def test_external_summarizer_falls_back_after_two_failures():
     def dead(spec, payload):
         raise TransportError("down")
 
-    spec = SummarizerSpec(kind="external-llm", endpoint="http://example/api")
+    spec = SummarizerSpec(endpoint="http://example/api")
     text = " ".join(f"w{i}" for i in range(30))
     assert summarize([text], spec, post=dead) == " ".join(text.split()[:25])
 
@@ -290,7 +293,7 @@ def summarizer():
 
 def test_http_post_success_sends_json_and_bearer(summarizer):
     url, seen = summarizer
-    spec = SummarizerSpec(kind="external-llm", endpoint=url + "/ok", api_key="k3y")
+    spec = SummarizerSpec(endpoint=url + "/ok", api_key="k3y")
     payload = {"prompt": SUMMARIZE_PROMPT, "input": "a\nb"}
     assert _http_post(spec, payload) == "short summary"
     assert seen == [("/ok", "Bearer k3y", payload)]
@@ -299,7 +302,7 @@ def test_http_post_success_sends_json_and_bearer(summarizer):
 @pytest.mark.parametrize("path", ["/fail", "/bad", "/empty"])
 def test_http_post_failures_are_transport_errors(summarizer, path):
     url, seen = summarizer
-    spec = SummarizerSpec(kind="external-llm", endpoint=url + path)
+    spec = SummarizerSpec(endpoint=url + path)
     with pytest.raises(TransportError):
         _http_post(spec, {"prompt": "p", "input": "x"})
     assert seen[0][1] is None     # no key, no header
@@ -308,4 +311,4 @@ def test_http_post_failures_are_transport_errors(summarizer, path):
 def test_http_post_unreachable_and_bad_url_are_transport_errors():
     for url in ("http://127.0.0.1:1/", "not a url"):
         with pytest.raises(TransportError):
-            _http_post(SummarizerSpec(kind="external-llm", endpoint=url), {})
+            _http_post(SummarizerSpec(endpoint=url), {})

@@ -21,6 +21,20 @@ def test_roundtrip_shapes(tmp_path):
         assert np.allclose(b, a, atol=1e-6)    # float32 storage
 
 
+@pytest.mark.parametrize("bad", [[1e39, np.nan], [np.nan], [-np.inf], [-1e39]])
+def test_write_rejects_values_float32_cannot_hold(tmp_path, bad):
+    p = tmp_path / "t.hta"
+    with pytest.raises(ValueError, match="float32"):
+        write_tensor(p, np.array(bad))
+    assert not p.exists()                     # refused before opening
+
+
+def test_write_keeps_float32_extremes(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    write_tensor(tmp_path / "t.hta", [top, -top])
+    assert read_tensor(tmp_path / "t.hta").tolist() == [top, -top]
+
+
 def test_header_layout(tmp_path):
     p = tmp_path / "t.hta"
     write_tensor(p, np.arange(6, dtype=np.float64).reshape(2, 3))
@@ -101,3 +115,10 @@ def test_checkpoint_shape_mismatch(tmp_path):
     write_tensor(tmp_path / "c" / "w.hta", np.zeros((3, 3)))
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(tmp_path / "c")
+
+
+def test_checkpoint_name_collision_rejected_before_writing(tmp_path):
+    params = {"a.b": np.ones(2), "a_b": np.zeros(2)}    # both -> a_b.hta
+    with pytest.raises(ValueError, match="'a.b' and 'a_b'"):
+        save_checkpoint(tmp_path / "c", params)
+    assert not (tmp_path / "c").exists()

@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from hta.masks import (AdditiveMask, TokenLayout, gst_cls_mask, gst_mst_mask,
-                       gst_patch_mask, gst_stacked_mask, mask_to_csv,
-                       mask_to_pgm, slt_mask)
+from hypothesis import given, settings, strategies as st
+
+from hta.masks import (TokenLayout, gst_stacked_mask, mask_to_csv, mask_to_pgm,
+                       slt_mask)
 from hta.oracles import reference_slt_mask, reference_stacked_mask
-from hta.tape import MASK_NEG, is_masked
+from hta.tape import is_masked
 
 FIG3 = TokenLayout(T=4, N=4, U=2, V=1, r=2)
 
 
 def zeros_per_row(mask):
-    return (mask.entries == 0.0).sum(axis=1)
+    return (mask == 0.0).sum(axis=1)
+
+
+def mst_rows(lay):
+    return gst_stacked_mask(lay)[1:1 + lay.num_mst]
+
+
+def patch_rows(lay):
+    return gst_stacked_mask(lay)[1 + lay.num_mst:]
 
 
 def test_layout_validation():
@@ -31,24 +40,17 @@ def test_layout_index_map():
     assert lay.patch_index(2, 1) == 10
 
 
-def test_additive_mask_rejects_fully_blocked_row():
-    entries = np.full((2, 2), MASK_NEG)
-    entries[0, 0] = 0.0
-    with pytest.raises(ValueError, match="fully blocked"):
-        AdditiveMask(2, 2, entries, "SlT")
-
-
 # -- SlT ---------------------------------------------------------------------
 
 
 def test_slt_fig3_row0():
     m = slt_mask(FIG3)
-    assert set(np.flatnonzero(m.entries[0] == 0.0)) == {0, 4, 8, 12}
+    assert set(np.flatnonzero(m[0] == 0.0)) == {0, 4, 8, 12}
 
 
 def test_slt_diagonal_always_zero():
     for lay in (FIG3, TokenLayout(T=2, N=9, U=1, V=1, r=3)):
-        assert (np.diag(slt_mask(lay).entries) == 0.0).all()
+        assert (np.diag(slt_mask(lay)) == 0.0).all()
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
@@ -56,35 +58,34 @@ def test_slt_diagonal_always_zero():
 def test_slt_rows_have_t_zeros(n, t):
     lay = TokenLayout(T=t, N=n, U=1, V=1, r=2)
     assert (zeros_per_row(slt_mask(lay)) == t).all()
-    assert np.array_equal(slt_mask(lay).entries, reference_slt_mask(lay))
+    assert np.array_equal(slt_mask(lay), reference_slt_mask(lay))
 
 
 def test_slt_symmetric():
-    m = slt_mask(TokenLayout(T=8, N=9, U=2, V=2, r=2)).entries
+    m = slt_mask(TokenLayout(T=8, N=9, U=2, V=2, r=2))
     assert np.array_equal(m, m.T)
 
 
-# -- GST blocks ----------------------------------------------------------------
+# -- GST row blocks ------------------------------------------------------------
 
 
 def test_gst_patch_zero_count_constant():
     # patch rows see UV [mst] columns + N same-frame patches; [CLS] is blocked
     for lay in (TokenLayout(T=4, N=4, U=2, V=1, r=2),
                 TokenLayout(T=8, N=9, U=3, V=4, r=3)):
-        m = gst_patch_mask(lay)
+        m = patch_rows(lay)
         assert (zeros_per_row(m) == lay.num_mst + lay.N).all()
-        assert (is_masked(m.entries[:, 0])).all()
+        assert (is_masked(m[:, 0])).all()
 
 
 def test_gst_patch_single_patch_frames_identity():
     lay = TokenLayout(T=5, N=1, U=1, V=1, r=2)
-    block = gst_patch_mask(lay).entries[:, 1 + lay.num_mst:]
+    block = patch_rows(lay)[:, 1 + lay.num_mst:]
     assert np.array_equal(block == 0.0, np.eye(5, dtype=bool))
 
 
 def test_gst_mst_level1_stride():
-    m = gst_mst_mask(FIG3)
-    row = m.entries[1]          # level-1 token
+    row = mst_rows(FIG3)[1]     # level-1 token
     patch_cols = row[3:] == 0.0
     frames = np.flatnonzero(patch_cols) // FIG3.N
     assert set(frames) == {0, 2}
@@ -95,7 +96,7 @@ def test_gst_mst_level1_stride():
 def test_gst_mst_level0_attends_all_frames():
     for r in (2, 3):
         lay = TokenLayout(T=6, N=2, U=2, V=1, r=r)
-        row = gst_mst_mask(lay).entries[0]
+        row = mst_rows(lay)[0]
         assert (row[1 + lay.num_mst:] == 0.0).all()
 
 
@@ -104,7 +105,7 @@ def test_gst_mst_level0_attends_all_frames():
 @pytest.mark.parametrize("r", [2, 3])
 def test_gst_mst_zero_count_formula(u_levels, v, r):
     lay = TokenLayout(T=8, N=4, U=u_levels, V=v, r=r)
-    m = gst_mst_mask(lay)
+    m = mst_rows(lay)
     for i in range(lay.num_mst):
         u = i // v
         expected = v * (u + 1) + lay.N * math.ceil(lay.T / r ** u)
@@ -113,53 +114,49 @@ def test_gst_mst_zero_count_formula(u_levels, v, r):
 
 def test_gst_mst_large_stride_still_sees_frame0():
     lay = TokenLayout(T=2, N=3, U=3, V=1, r=3)   # r^2 = 9 > T
-    row = gst_mst_mask(lay).entries[2]
+    row = mst_rows(lay)[2]
     patch_cols = np.flatnonzero(row[1 + lay.num_mst:] == 0.0) // lay.N
     assert set(patch_cols) == {0}
 
 
-def test_gst_mst_direction_switch():
+def test_gst_mst_sees_own_and_finer_levels():
     lay = TokenLayout(T=2, N=1, U=3, V=1, r=2)
-    default = gst_mst_mask(lay).entries[:, 1:4] == 0.0
-    flipped = gst_mst_mask(lay, "coarser_or_equal").entries[:, 1:4] == 0.0
-    assert np.array_equal(default, np.tril(np.ones((3, 3), dtype=bool)))
-    assert np.array_equal(flipped, default.T)
-    with pytest.raises(ValueError):
-        gst_mst_mask(lay, "sideways")
+    mst_block = mst_rows(lay)[:, 1:4] == 0.0
+    assert np.array_equal(mst_block, np.tril(np.ones((3, 3), dtype=bool)))
 
 
 def test_gst_cls_all_zero_and_length():
     lay = TokenLayout(T=12, N=49, U=3, V=4, r=2)
-    m = gst_cls_mask(lay)
-    assert m.entries.shape == (1, 601)
-    assert (m.entries == 0.0).all()
+    m = gst_stacked_mask(lay)[:1]
+    assert m.shape == (1, 601)
+    assert (m == 0.0).all()
     assert zeros_per_row(m)[0] == 1 + lay.num_mst + lay.T * lay.N
 
 
 def test_gst_stacked_row0_is_cls_row():
     m = gst_stacked_mask(FIG3)
-    assert np.array_equal(m.entries[0], gst_cls_mask(FIG3).entries[0])
-    assert m.rows == m.cols == FIG3.seq_len
+    assert (m[0] == 0.0).all()
+    assert m.shape == (FIG3.seq_len, FIG3.seq_len)
 
 
 def test_gst_stacked_not_symmetric():
-    m = gst_stacked_mask(FIG3).entries
+    m = gst_stacked_mask(FIG3)
     assert not np.array_equal(m, m.T)
 
 
 def test_u0_degenerate():
     lay = TokenLayout(T=3, N=2, U=0, V=1, r=2)
     m = gst_stacked_mask(lay)
-    assert m.rows == 1 + 6
+    assert m.shape == (1 + 6, 1 + 6)
     # patch rows: same-frame patches only, [CLS] blocked
     assert (zeros_per_row(m)[1:] == lay.N).all()
-    assert is_masked(m.entries[1:, 0]).all()
-    assert np.array_equal(m.entries, reference_stacked_mask(lay))
+    assert is_masked(m[1:, 0]).all()
+    assert np.array_equal(m, reference_stacked_mask(lay))
 
 
 def test_constructors_are_pure():
-    a = gst_stacked_mask(FIG3).entries
-    b = gst_stacked_mask(FIG3).entries
+    a = gst_stacked_mask(FIG3)
+    b = gst_stacked_mask(FIG3)
     assert np.array_equal(a, b)
 
 
@@ -168,9 +165,8 @@ def test_oracle_equivalence_sampled_grid():
     for (t, n, u, v, r) in [(2, 1, 0, 1, 2), (4, 4, 2, 1, 2), (8, 9, 3, 4, 3),
                             (12, 4, 1, 2, 3), (2, 9, 3, 1, 2)]:
         lay = TokenLayout(T=t, N=n, U=u, V=v, r=r)
-        assert np.array_equal(gst_stacked_mask(lay).entries,
-                              reference_stacked_mask(lay))
-        assert np.array_equal(slt_mask(lay).entries, reference_slt_mask(lay))
+        assert np.array_equal(gst_stacked_mask(lay), reference_stacked_mask(lay))
+        assert np.array_equal(slt_mask(lay), reference_slt_mask(lay))
 
 
 def test_csv_and_pgm_rendering():
@@ -182,3 +178,15 @@ def test_csv_and_pgm_rendering():
     pgm = mask_to_pgm(m).split("\n")
     assert pgm[0] == "P2" and pgm[1] == "3 3"
     assert pgm[3] == "255 255 255"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 4),
+       st.integers(1, 4), st.integers(2, 4))
+def test_masks_equal_oracles_on_drawn_layouts(t, n, u, v, r):
+    lay = TokenLayout(T=t, N=n, U=u, V=v, r=r)
+    for mask, ref in ((slt_mask(lay), reference_slt_mask(lay)),
+                      (gst_stacked_mask(lay), reference_stacked_mask(lay))):
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, ref)
+        assert not is_masked(mask).all(axis=1).any()     # no fully blocked row

@@ -235,10 +235,10 @@ OPS = {
                     lambda t, n: t.concat_rows([n[0], n[1]])),
     "concat_rows_axis": (lambda r: [r.normal(size=(3, 2)), r.normal(size=(3, 4))],
                          lambda t, n: t.concat_rows([n[0], n[1]], axis=1)),
-    "tile_rows": (lambda r: [r.normal(size=(2, 3))],
-                  lambda t, n: t.tile_rows(n[0], 3)),
-    "repeat_rows": (lambda r: [r.normal(size=(2, 3))],
-                    lambda t, n: t.repeat_rows(n[0], 3)),
+    "broadcast_to": (lambda r: [r.normal(size=(2, 3))],
+                     lambda t, n: t.broadcast_to(n[0], (4, 2, 3))),
+    "broadcast_to_inner": (lambda r: [r.normal(size=(2, 1, 3))],
+                           lambda t, n: t.broadcast_to(n[0], (2, 3, 3))),
 }
 
 DIFFERENTIABLE_LEAVES = {

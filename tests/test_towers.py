@@ -146,7 +146,7 @@ def test_gst_patch_row_weights_only_mst_and_same_frame():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(9)
     z = rng.normal(size=(FIG3.seq_len, 8))
-    mask = gst_stacked_mask(FIG3).entries
+    mask = gst_stacked_mask(FIG3)
     for w in attention_weights(z, params, "layer0.gst", mask, CFG.heads):
         patch_row = w[3]                      # frame-0 patch 0
         allowed = {1, 2, 3, 4, 5, 6}          # [MST] x2 + frame-0 patches
@@ -159,7 +159,7 @@ def test_gst_cls_row_spans_everything():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(10)
     z = rng.normal(size=(FIG3.seq_len, 8))
-    mask = gst_stacked_mask(FIG3).entries
+    mask = gst_stacked_mask(FIG3)
     for w in attention_weights(z, params, "layer1.gst", mask, CFG.heads):
         assert (w[0] > 0).all()
         assert abs(w[0].sum() - 1.0) <= 1e-12
@@ -169,7 +169,7 @@ def test_gst_mst_level1_skips_odd_frames():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(11)
     z = rng.normal(size=(FIG3.seq_len, 8))
-    mask = gst_stacked_mask(FIG3).entries
+    mask = gst_stacked_mask(FIG3)
     odd_frame_cols = list(range(7, 11)) + list(range(15, 19))
     for w in attention_weights(z, params, "layer0.gst", mask, CFG.heads):
         assert (w[2][odd_frame_cols] == 0.0).all()
@@ -234,10 +234,10 @@ def test_blocks_match_per_clip_recomputation(lay, b):
     for c in range(b):
         zc = z[c * s:(c + 1) * s]
         want = np.vstack([zc[:ns], reference_attention(
-            zc[ns:], params, "layer0.slt", slt_mask(lay).entries, cfg.heads)])
+            zc[ns:], params, "layer0.slt", slt_mask(lay), cfg.heads)])
         assert np.abs(slt[c * s:(c + 1) * s] - want).max() <= 1e-12
         y = reference_attention(zc, params, "layer0.gst",
-                                gst_stacked_mask(lay).entries, cfg.heads)
+                                gst_stacked_mask(lay), cfg.heads)
         hid = y @ params["layer0.mlp.w1"] + params["layer0.mlp.b1"]
         hid = hid * 0.5 * (1.0 + erf(hid / np.sqrt(2.0)))
         want = y + hid @ params["layer0.mlp.w2"] + params["layer0.mlp.b2"]
