@@ -69,6 +69,25 @@ def _read_config_file(path) -> dict:
     return values
 
 
+def _read_texts(path, vocab: int) -> tuple[list, list]:
+    """texts.json: {"subtitles": [[id, ...], ...], "captions": [...]}, token
+    ids being ints in [0, vocab). Anything else raises ValueError."""
+    try:
+        texts = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}: nested too deeply") from exc
+    if type(texts) is not dict:
+        raise ValueError(f"{path}: expected an object with 'subtitles' and 'captions'")
+    for key in ("subtitles", "captions"):
+        seqs = texts.get(key)
+        if type(seqs) is not list or not all(
+                type(ids) is list and all(type(i) is int and 0 <= i < vocab for i in ids)
+                for ids in seqs):
+            raise ValueError(f"{path}: {key!r} must be a list of lists of token "
+                             f"ids in [0, {vocab})")
+    return texts["subtitles"], texts["captions"]
+
+
 def cmd_train(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
     fields = dataclasses.fields(TrainConfig)
@@ -88,8 +107,8 @@ def cmd_train(args) -> int:
     clips = read_tensor(data / "clips.hta")
     if clips.ndim != 5:
         raise ValueError(f"clips.hta must be [B, T, H, W, 3], got {clips.shape}")
-    texts = json.loads((data / "texts.json").read_text())
-    dataset = AlignmentBatch(list(clips), texts["subtitles"], texts["captions"])
+    subtitles, captions = _read_texts(data / "texts.json", args.vocab)
+    dataset = AlignmentBatch(list(clips), subtitles, captions)
 
     t, h, _w, _ = clips.shape[1:]
     n = (h // args.patch) * (clips.shape[3] // args.patch)
@@ -124,13 +143,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     video = read_tensor(args.video_emb)
     text = read_tensor(args.text_emb)
-    if args.direction == "t2v":
-        s = retrieval.similarity(text, video)
-    else:
-        s = retrieval.similarity(video, text)
-    if args.dsl:
-        s = retrieval.dual_softmax(s, alpha=args.alpha)
-    report = retrieval.evaluate(s)
+    queries, candidates = (text, video) if args.direction == "t2v" else (video, text)
+    r = retrieval.paired_ranks(queries, candidates,
+                               alpha=args.alpha if args.dsl else None)
+    report = retrieval.metrics_from_ranks(r)
     payload = json.dumps(report.as_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(payload)

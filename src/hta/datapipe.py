@@ -13,8 +13,9 @@ import http.client
 import json
 import logging
 import math
+import sys
 import urllib.request
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
@@ -244,20 +245,44 @@ def stats(clips: list[ClipRecord]) -> dict[str, dict[str, float]]:
 
 # -- JSONL plumbing -----------------------------------------------------------
 
+def _checked_items(items, text_key: str, where: str) -> list[dict]:
+    """items, if it is a list of {text_key: str, "t0": time, "t1": time}
+    objects, where a time is a finite int or float (not a bool); anything else
+    raises ValueError. Runs once per word, so the checks are inline."""
+    if type(items) is not list:
+        raise ValueError(f"{where}: expected a list, got {items!r:.80}")
+    big = sys.float_info.max
+    for i, item in enumerate(items):
+        if type(item) is dict and type(item.get(text_key)) is str:
+            t0, t1 = item.get("t0"), item.get("t1")
+            if (type(t0) in (int, float) and type(t1) in (int, float)
+                    and abs(t0) <= big and abs(t1) <= big):    # False for NaN
+                continue
+        raise ValueError(f"{where} item {i}: expected {{{text_key!r}: str, "
+                         f"'t0': number, 't1': number}}, got {item!r:.80}")
+    return items
+
+
 def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
-    rec = json.loads(line)
+    """Parse one transcript line; a malformed line raises ValueError."""
+    try:
+        rec = json.loads(line)
+    except RecursionError as exc:
+        raise ValueError("transcript line is nested too deeply") from exc
+    if type(rec) is not dict:
+        raise ValueError(f"transcript line is not an object: {line:.80}")
     vid = rec.get("video_id", "")
+    if type(vid) is not str:
+        raise ValueError(f"video_id is not a string: {vid!r:.80}")
     if "sentences" in rec:
-        sents = [TranscriptSentence(s["text"], s["t0"], s["t1"])
-                 for s in rec["sentences"]]
+        items = _checked_items(rec["sentences"], "text", f"video {vid!r} sentences")
+        sents = [TranscriptSentence(s["text"], s["t0"], s["t1"]) for s in items]
     elif "words" in rec:
-        sents = segment(rec["words"])
+        sents = segment(_checked_items(rec["words"], "w", f"video {vid!r} words"))
     else:
         raise ValueError("transcript line has neither 'sentences' nor 'words'")
     return vid, sents
 
 
 def clip_to_json(clip: ClipRecord) -> str:
-    d = asdict(clip)
-    d["sentence_range"] = list(clip.sentence_range)
-    return json.dumps(d)
+    return json.dumps(vars(clip))

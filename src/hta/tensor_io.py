@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -67,22 +69,37 @@ def _safe_name(name: str) -> str:
 
 def save_checkpoint(directory, params: dict[str, np.ndarray],
                     config: dict | None = None) -> None:
-    """Two names that map to one file raise ValueError before anything is
-    written."""
+    """Write the checkpoint into a temporary sibling directory, then swap it
+    in for `directory`, so a save that fails leaves an existing checkpoint as
+    it was. Two names that map to one file raise ValueError before anything
+    is written, and so does an existing `directory` that holds files but no
+    manifest.json, since the swap would delete them."""
     files: dict[str, str] = {}
     for name in params:
         fname = _safe_name(name) + ".hta"
         other = files.setdefault(fname, name)
         if other != name:
             raise ValueError(f"parameters {other!r} and {name!r} both map to {fname}")
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    manifest = {"params": {}, "config": config or {}}
-    for fname, name in files.items():
-        write_tensor(d / fname, params[name])
-        manifest["params"][name] = {"file": fname,
-                                    "shape": list(np.shape(params[name]))}
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    d = Path(os.path.abspath(directory))
+    if d.exists() and not (d / "manifest.json").exists() and any(d.iterdir()):
+        raise ValueError(f"{d} is not a checkpoint (no manifest.json); not replacing it")
+    d.parent.mkdir(parents=True, exist_ok=True)
+    tmp = d.with_name(f".{d.name}.{uuid.uuid4().hex}")
+    tmp.mkdir()
+    try:
+        manifest = {"params": {}, "config": config or {}}
+        for fname, name in files.items():
+            write_tensor(tmp / fname, params[name])
+            manifest["params"][name] = {"file": fname,
+                                        "shape": list(np.shape(params[name]))}
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        old = tmp.with_name(tmp.name + ".old")
+        if d.exists():
+            d.rename(old)
+        tmp.rename(d)
+        shutil.rmtree(old, ignore_errors=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def load_checkpoint(directory):

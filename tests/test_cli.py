@@ -176,6 +176,59 @@ def test_train_bad_clip_rank_exits_1(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
 
 
+MALFORMED_TEXTS = {name: json.dumps(texts) for name, texts in {
+    "list": [],
+    "int subtitles": {"subtitles": 5, "captions": [[1], [2]]},
+    "flat captions": {"subtitles": [[1], [2]], "captions": [1, 2, 3, 4]},
+    "float token": {"subtitles": [[1], [1.5]], "captions": [[1], [2]]},
+    "no captions": {"subtitles": [[1], [2]]},
+    "bool token": {"subtitles": [[1], [True]], "captions": [[1], [2]]},
+    "token = vocab": {"subtitles": [[1], [2]], "captions": [[1], [16]]},
+    "huge token": {"subtitles": [[1], [10 ** 30]], "captions": [[1], [2]]},
+}.items()} | {"deep": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("texts", MALFORMED_TEXTS.values(), ids=MALFORMED_TEXTS.keys())
+def test_train_malformed_texts_json_exits_1(tmp_path, capsys, texts):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_tensor(data / "clips.hta", np.zeros((2, 2, 8, 8, 3)))
+    (data / "texts.json").write_text(texts)
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                "--steps", "1", "--width", "8", "--layers", "1", "--heads", "2",
+                "--embed-dim", "4", "--hierarchies", "1", "--vocab", "16",
+                "--context", "4"]) == 1
+    assert "texts.json" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_errors_exit_1(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    files = {"v": rng.normal(size=(4, 3)), "t": rng.normal(size=(4, 3)),
+             "t3": rng.normal(size=(3, 3)), "d5": rng.normal(size=(4, 5))}
+    for name, a in files.items():
+        write_tensor(tmp_path / f"{name}.hta", a)
+    nan = tmp_path / "nan.hta"      # write_tensor refuses NaN, so patch a file
+    raw = bytearray((tmp_path / "t.hta").read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    nan.write_bytes(bytes(raw))
+
+    def run_eval(text, *flags):
+        return run(["eval", "--video-emb", str(tmp_path / "v.hta"),
+                    "--text-emb", str(tmp_path / text), *flags])
+
+    for flags in ([], ["--dsl"], ["--direction", "v2t", "--dsl"]):
+        assert run_eval("t.hta", *flags) == 0
+        assert run_eval("d5.hta", *flags) == 1          # dims differ
+        assert run_eval("t3.hta", *flags) == 1          # not square
+        assert run_eval("nan.hta", *flags) == 1         # non-finite scores
+    assert run_eval("t.hta", "--dsl", "--alpha", "0") == 1
+    assert run_eval("t.hta", "--dsl", "--alpha", "-2") == 1
+    err = capsys.readouterr().err
+    for text in ("dims differ", "square", "non-finite", "alpha"):
+        assert text in err
+
+
 def test_selftest_command(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out

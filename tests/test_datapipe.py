@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from hta.cli import run
 
 from hta.datapipe import (SUMMARIZE_PROMPT, WORD_CAP, ClipRecord,
                           SummarizerSpec, TranscriptSentence, TransportError,
@@ -247,9 +251,59 @@ def test_read_transcript_line_both_forms():
         read_transcript_line(json.dumps({"video_id": "c"}))
 
 
+MALFORMED_LINES = {
+    "list": "[1]",
+    "string": '"x"',
+    "string t0": '{"video_id": "a", "sentences": [{"text": "Hi.", "t0": "0", "t1": 1.0}]}',
+    "int words": '{"video_id": "a", "words": [1, 2]}',
+    "int sentences": '{"video_id": "a", "sentences": [1]}',
+    "int w": '{"video_id": "a", "words": [{"w": 5, "t0": 0.0, "t1": 1.0}]}',
+    "no t1": '{"video_id": "a", "words": [{"w": "Hi.", "t0": 0.0}]}',
+    "NaN t0": '{"video_id": "a", "sentences": [{"text": "Hi.", "t0": NaN, "t1": 1.0}]}',
+    "huge t1": '{"video_id": "a", "words": [{"w": "Hi.", "t0": 0, "t1": 1'
+               + "0" * 400 + '}]}',
+    "bool t0": '{"video_id": "a", "words": [{"w": "Hi.", "t0": true, "t1": 1.0}]}',
+    "object sentences": '{"video_id": "a", "sentences": {"text": "Hi."}}',
+    "int video_id": '{"video_id": 7, "sentences": []}',
+    "truncated": '{"video_id": "a", "words": [{"w": "Hi.", "t0": 0.0, "t1": 1.0}',
+    "deep": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_malformed_transcript_line_raises_value_error(tmp_path, capsys, line):
+    with pytest.raises(ValueError):
+        read_transcript_line(line)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "t.jsonl").write_text(line + "\n")
+    assert run(["curate", "--in", str(tmp_path / "in"),
+                "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+SCHEMA_KEYS = st.sampled_from(["video_id", "words", "sentences", "w", "text",
+                               "t0", "t1"]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(SCHEMA_KEYS, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_arbitrary_json_raises_only_value_error(value):
+    try:
+        read_transcript_line(json.dumps(value))
+    except ValueError:
+        pass
+
+
 def test_clip_json_roundtrip():
     clip = ClipRecord("v", (1, 3), 5.0, 20.0, "short", "text.")
-    d = json.loads(clip_to_json(clip))
+    text = clip_to_json(clip)
+    assert text == json.dumps(dataclasses.asdict(clip))
+    d = json.loads(text)
     assert d["video_id"] == "v"
     assert d["sentence_range"] == [1, 3]
     assert d["scale"] == "short"

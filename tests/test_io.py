@@ -122,3 +122,39 @@ def test_checkpoint_name_collision_rejected_before_writing(tmp_path):
     with pytest.raises(ValueError, match="'a.b' and 'a_b'"):
         save_checkpoint(tmp_path / "c", params)
     assert not (tmp_path / "c").exists()
+
+
+def test_failed_save_leaves_existing_checkpoint_unchanged(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, {"a": np.ones(2), "b": np.ones(3)}, config={"v": 1})
+    before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    with pytest.raises(ValueError, match="NaN"):
+        save_checkpoint(ckpt, {"a": np.zeros(2), "b": np.array([np.nan, 0, 0])})
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+    params, config = load_checkpoint(ckpt)
+    assert config == {"v": 1}
+    assert np.array_equal(params["a"], np.ones(2))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]   # no temp dirs
+
+
+def test_save_replaces_checkpoint_whole(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, {"a": np.ones(2), "b": np.ones(3)})
+    save_checkpoint(ckpt, {"a": np.zeros(2)})
+    params, _ = load_checkpoint(ckpt)
+    assert list(params) == ["a"] and np.array_equal(params["a"], np.zeros(2))
+    assert sorted(p.name for p in ckpt.iterdir()) == ["a.hta", "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+
+def test_save_refuses_to_replace_a_directory_that_is_not_a_checkpoint(tmp_path):
+    d = tmp_path / "data"
+    d.mkdir()
+    (d / "clips.hta").write_bytes(b"keep me")
+    with pytest.raises(ValueError, match="not a checkpoint"):
+        save_checkpoint(d, {"a": np.ones(2)})
+    assert (d / "clips.hta").read_bytes() == b"keep me"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    save_checkpoint(empty, {"a": np.ones(2)})
+    assert np.array_equal(load_checkpoint(empty)[0]["a"], np.ones(2))

@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hta import retrieval
 from hta.oracles import brute_force_ranks
-from hta.retrieval import (dual_softmax, evaluate, metrics_from_ranks, ranks,
-                           similarity)
+from hta.retrieval import (_row_blocks, _score_blocks, dual_softmax, evaluate,
+                           metrics_from_ranks, paired_ranks, ranks, similarity)
 
 
 def test_similarity_is_plain_inner_product():
@@ -111,3 +116,109 @@ def test_dual_softmax_can_change_ranks():
     plain = evaluate(s)
     dsl = evaluate(dual_softmax(s, alpha=10.0))
     assert dsl.mnr <= plain.mnr
+
+
+# -- blocked ranking ---------------------------------------------------------
+
+
+def grid_pair(seed: int, q: int, dups: int):
+    """Queries and candidates with entries in multiples of 1/4, so every dot
+    product is exact and the scores do not depend on how BLAS splits the
+    product. `dups` candidate rows copy others, so scores tie."""
+    rng = np.random.default_rng(seed)
+    queries = rng.integers(-3, 4, size=(q, 8)) / 4.0
+    candidates = rng.integers(-3, 4, size=(q, 8)) / 4.0
+    for _ in range(dups):
+        i, j = rng.integers(0, q, size=2)
+        candidates[i] = candidates[j]
+    return queries, candidates
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 5),
+       shape=st.sampled_from(["1", "2", "rows-1", "rows", "rows+1", "2rows+1",
+                              "1000", "1141"]),
+       alpha=st.none() | st.floats(0.5, 200.0), dups=st.integers(0, 20))
+def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups):
+    # small shapes run with blocks of `rows` rows; 1000 and 1141 use the real
+    # block size (131 and 114 rows; at 1141 the one-row tail joins the last block)
+    q = {"1": 1, "2": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+         "2rows+1": 2 * rows + 1, "1000": 1000, "1141": 1141}[shape]
+    q = max(q, 1)
+    block = retrieval.BLOCK_ELEMS if q >= 1000 else rows * q
+    queries, candidates = grid_pair(seed, q, dups)
+    s = similarity(queries, candidates)
+    full = s if alpha is None else dual_softmax(s, alpha)
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", block):
+        got = paired_ranks(queries, candidates, alpha)
+        blocks = [(a, z.copy()) for a, z in _score_blocks(queries, candidates, alpha)]
+    assert np.array_equal(got, ranks(full))
+    assert [a for a, _ in blocks] == [a for a, _ in _row_blocks(q, max(2, block // q))]
+    assert all(len(z) >= 2 for _, z in blocks) or q == 1
+    assert np.array_equal(np.concatenate([z for _, z in blocks]), full)
+
+
+def test_paired_ranks_match_brute_force_with_ties():
+    queries, candidates = grid_pair(0, 40, 15)
+    s = similarity(queries, candidates)
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", 3 * 40):
+        assert np.array_equal(paired_ranks(queries, candidates), brute_force_ranks(s))
+        assert np.array_equal(paired_ranks(queries, candidates, 2.0),
+                              brute_force_ranks(dual_softmax(s, 2.0)))
+
+
+def test_row_blocks_never_leave_a_single_row():
+    assert _row_blocks(1, 2) == [(0, 1)]
+    assert _row_blocks(5, 2) == [(0, 2), (2, 5)]
+    assert _row_blocks(6, 2) == [(0, 2), (2, 4), (4, 6)]
+    assert _row_blocks(0, 2) == []
+
+
+@pytest.mark.parametrize("alpha", [None, 100.0])
+def test_paired_ranks_errors(alpha):
+    rng = np.random.default_rng(6)
+    q, c = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    with pytest.raises(ValueError, match="dims differ"):
+        paired_ranks(q, rng.normal(size=(4, 5)), alpha)
+    with pytest.raises(ValueError, match="square"):
+        paired_ranks(q, c[:3], alpha)
+    for bad in (np.nan, np.inf):
+        q2 = q.copy()
+        q2[2, 1] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            paired_ranks(q2, c, alpha)
+    assert paired_ranks(q[:0], c[:0], alpha).shape == (0,)
+    with pytest.raises(ValueError):
+        metrics_from_ranks(paired_ranks(q[:0], c[:0], alpha))
+    with pytest.raises(ValueError):
+        paired_ranks(np.zeros(3), c, alpha)     # not a matrix
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_paired_ranks_rejects_non_positive_alpha(alpha):
+    q = np.eye(3)
+    with pytest.raises(ValueError, match="alpha"):
+        paired_ranks(q, q, alpha)
+
+
+def test_paired_ranks_non_finite_dual_softmax_raises():
+    q = np.eye(3) * 2.0     # alpha * S overflows to inf, exp gives NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            ranks(dual_softmax(similarity(q, q), 1e308))
+        with pytest.raises(ValueError, match="non-finite"):
+            paired_ranks(q, q, 1e308)
+
+
+def test_paired_ranks_memory_is_o_block():
+    q = 3000
+    rng = np.random.default_rng(7)
+    queries, candidates = rng.normal(size=(q, 32)), rng.normal(size=(q, 32))
+    tracemalloc.start()
+    try:
+        paired_ranks(queries, candidates, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < q * q * 8 / 10, f"peak {peak} bytes"
