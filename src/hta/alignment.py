@@ -8,7 +8,7 @@ temperature kept positive by optimizing its log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,16 @@ class TrainConfig:
     batch_size: int = 16
 
     def __post_init__(self):
+        if self.steps < 1 or self.batch_size < 1:
+            raise ValueError("steps and batch_size must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         # zero is allowed so a frozen run is expressible
         if not (0.0 <= self.final_lr <= self.base_lr):
             raise ValueError("need 0 <= final_lr <= base_lr")

@@ -1,6 +1,7 @@
 """Command-line entry point: mask dumps, training, evaluation, curation.
 
-Exit codes: 0 success, 1 contract/config error, 2 I/O or transport error.
+Exit codes: 0 success, 1 contract/config error or a diverged training run,
+2 I/O or transport error.
 Every run that writes an artifact also writes a reproducibility manifest
 (<out>.manifest.json) with the config hash, seed, and package version.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import datapipe, retrieval
-from .alignment import AlignmentBatch, TrainConfig, train
+from .alignment import AlignmentBatch, DivergenceError, TrainConfig, train
 from .masks import TokenLayout, gst_stacked_mask, mask_to_csv, mask_to_pgm, slt_mask
 from .tensor_io import read_tensor, save_checkpoint
 from .towers import TextTowerConfig, VideoTowerConfig, init_text_params, \
@@ -242,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curate", help="multi-scale clip curation")
     c.add_argument("--in", dest="in_dir", required=True)
     c.add_argument("--out", dest="out_dir", required=True)
-    c.add_argument("--scales", default="13,30,60")
+    c.add_argument("--scales",
+                   default=",".join(f"{x:g}" for x in datapipe.DEFAULT_SCALES))
     c.add_argument("--fps", type=float, default=0.1)
     c.add_argument("--summarizer", default="fallback",
                    help='"fallback" or an external endpoint URL')
@@ -260,7 +262,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, datapipe.TransportError) as exc:

@@ -22,6 +22,11 @@ log = logging.getLogger(__name__)
 SCALE_NAMES = ("short", "medium", "long")
 DEFAULT_SCALES = (13.0, 30.0, 60.0)
 
+# Most caption frames per clip. A clip of the default scales needs about 10 at
+# the default fps 0.1; the cap stops a claimed duration far beyond any clip's
+# from writing unbounded output.
+MAX_CAPTION_FRAMES = 1000
+
 WORD_CAP = 25
 SUMMARIZE_PROMPT = ("Summarize the following sentences into a single sentence, "
                     f"not exceeding {WORD_CAP} words. Do not output any additional "
@@ -154,11 +159,16 @@ def extract_clips(video_id: str, sentences: list[TranscriptSentence],
 
 def caption_frames(clip: ClipRecord, fps: float) -> list[float]:
     """Frame timestamps for captioning: clip start + k/fps, k = 0, 1, ...;
-    count = max(1, floor(duration*fps) + 1)."""
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    count = max(1, int(math.floor(clip.duration * fps)) + 1)
-    return [clip.start + k / fps for k in range(count)]
+    count = max(1, floor(duration*fps) + 1). fps must be finite and positive,
+    and a clip that needs more than MAX_CAPTION_FRAMES frames raises
+    ValueError."""
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"fps must be finite and positive, got {fps}")
+    span = clip.duration * fps
+    if not span < MAX_CAPTION_FRAMES:
+        raise ValueError(f"clip {clip.video_id!r} {clip.start:g}-{clip.end:g}s needs "
+                         f"more than {MAX_CAPTION_FRAMES} caption frames at fps {fps:g}")
+    return [clip.start + k / fps for k in range(max(1, math.floor(span) + 1))]
 
 
 def _fallback_summary(texts: list[str]) -> str:

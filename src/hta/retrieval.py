@@ -5,9 +5,11 @@ pessimistically: a candidate tying with the ground-truth score counts ahead
 of it.
 
 `similarity`, `dual_softmax`, `ranks` and `evaluate` work on the full Q x Q
-matrix and are the reference. `paired_ranks` gives the same ranks from the
-embeddings one block of rows at a time, in O(block) memory; `hta eval` uses
-it. Both paths share the tie rule and the softmax steps below.
+matrix and are the reference. `paired_ranks` ranks from the embeddings one
+block of rows at a time, in O(block) memory; `hta eval` uses it. Both paths
+share the tie rule and the softmax steps below. A block's scores can differ
+from the full product's in the last ulp where BLAS splits the product
+differently, so near-ties may rank differently from the reference.
 """
 
 from __future__ import annotations
@@ -160,7 +162,10 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
                  alpha: float | None = None) -> np.ndarray:
     """ranks(similarity(queries, candidates)), or the ranks of its
     dual_softmax with this alpha, computed one block of rows at a time: about
-    BLOCK_ELEMS scores and at least two rows per block."""
+    BLOCK_ELEMS scores and at least two rows per block. Equal to the
+    full-matrix ranks wherever BLAS rounds each block's product as it rounds
+    the full one (exactly representable products always; OpenBLAS 0.3.31 at
+    Q = 1k and 5k); otherwise near-ties may rank differently."""
     q, c = _pair(queries, candidates)
     r = np.empty(len(q), dtype=np.int64)
     for start, z in _score_blocks(q, c, alpha):

@@ -41,15 +41,12 @@ _keep_freed_memory()
 # attention" decision inside masked_softmax.
 MASK_NEG = float(np.finfo(np.float64).min)
 
+LN_EPS = 1e-5   # added to the variance in every layer norm
+
 
 def is_masked(entries: np.ndarray) -> np.ndarray:
     """Boolean map of forbidden positions in an additive-mask payload."""
     return entries <= MASK_NEG
-
-
-def _as_f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -68,29 +65,29 @@ def masked_softmax_value(logits: np.ndarray, mask_entries: np.ndarray) -> np.nda
     to 0. The [s, s] mask broadcasts over any leading axes of the logits.
 
     Stabilized by subtracting the per-row max over *allowed* entries only.
-    A fully masked row is a contract violation, never a silent NaN.
+    A fully masked row of the mask is a contract violation. Logits are not
+    checked: non-finite ones give NaN weights, which reach the caller.
     """
-    logits = _as_f64(logits)
+    logits = np.asarray(logits, dtype=np.float64)
     if logits.shape[-2:] != mask_entries.shape:
         raise ValueError(
             f"logits shape {logits.shape} does not match mask shape {mask_entries.shape}"
         )
-    z = np.where(is_masked(mask_entries), -np.inf, logits)
+    blocked = is_masked(mask_entries)
+    full = blocked.all(axis=-1)
+    if full.any():
+        raise ValueError(f"fully masked row {np.flatnonzero(full)[0]}: softmax undefined")
+    z = np.where(blocked, -np.inf, logits)
     m = z.max(axis=-1, keepdims=True)   # max over allowed entries only
-    bad = ~np.isfinite(m[..., 0])
-    if bad.any():
-        row = np.nonzero(bad)[-1][0]
-        raise ValueError(f"fully masked row {row}: softmax undefined")
     e = np.exp(z - m)                   # exp(-inf) = 0 at forbidden positions
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm_value(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float = 1e-5):
+def layer_norm_value(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Last-axis layer norm; returns (output, normalized, inv_std) for reuse."""
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
     return xhat * gain + bias, xhat, inv
 
@@ -116,7 +113,7 @@ class Tape:
         return self._vals[nid]
 
     def leaf(self, value, requires_grad: bool = True) -> int:
-        self._vals.append(_as_f64(value))
+        self._vals.append(np.asarray(value, dtype=np.float64))
         self._parents.append([])
         self._track.append(requires_grad)
         return len(self._vals) - 1
@@ -222,9 +219,9 @@ class Tape:
 
     # -- fused nonlinear primitives ------------------------------------------
 
-    def layer_norm(self, x: int, gain: int, bias: int, eps: float = 1e-5) -> int:
+    def layer_norm(self, x: int, gain: int, bias: int) -> int:
         xv, gv, bv = self._vals[x], self._vals[gain], self._vals[bias]
-        out, xhat, inv = layer_norm_value(xv, gv, bv, eps)
+        out, xhat, inv = layer_norm_value(xv, gv, bv)
         d = xv.shape[-1]
 
         def vjp_x(g, xhat=xhat, inv=inv, gv=gv, d=d):
@@ -258,9 +255,9 @@ class Tape:
 
         return self._push(out, [(a, vjp)])
 
-    def normalize_rows(self, a: int, eps: float = 0.0) -> int:
+    def normalize_rows(self, a: int) -> int:
         x = self._vals[a]
-        norm = np.sqrt((x * x).sum(axis=1, keepdims=True)) + eps
+        norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
         y = x / norm
 
         def vjp(g, y=y, norm=norm):

@@ -103,12 +103,29 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(directory):
+    """(params, config) of a checkpoint. The manifest is untrusted: anything
+    but {"params": {name: {"file": ..., "shape": [...]}, ...}, "config": {...}},
+    with each file a plain file in `directory` (not a link) that holds a
+    tensor of that shape, raises ValueError."""
     d = Path(directory)
-    manifest = json.loads((d / "manifest.json").read_text())
+    try:
+        manifest = json.loads((d / "manifest.json").read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{d}: manifest.json is nested too deeply") from exc
+    if type(manifest) is not dict or type(manifest.get("params")) is not dict \
+            or type(manifest.get("config", {})) is not dict:
+        raise ValueError(f"{d}: manifest.json needs a 'params' object and an "
+                         f"optional 'config' object")
     params = {}
     for name, entry in manifest["params"].items():
-        arr = read_tensor(d / entry["file"])
-        if list(arr.shape) != entry["shape"]:
-            raise ValueError(f"{name}: shape {list(arr.shape)} != manifest {entry['shape']}")
+        fname = entry.get("file") if type(entry) is dict else None
+        path = d / fname if type(fname) is str and fname == Path(fname).name else None
+        if path is None or path.is_symlink() or not path.is_file():
+            raise ValueError(f"{name}: 'file' must name a plain file in {d}, "
+                             f"got {fname!r:.80}")
+        arr = read_tensor(path)
+        if list(arr.shape) != entry.get("shape"):
+            raise ValueError(f"{name}: shape {list(arr.shape)} != manifest "
+                             f"{entry.get('shape')!r:.80}")
         params[name] = arr
     return params, manifest.get("config", {})

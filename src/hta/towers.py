@@ -30,6 +30,9 @@ import numpy as np
 from .masks import TokenLayout, gst_stacked_mask
 from .tape import Tape
 
+MLP_RATIO = 4       # MLP hidden width, in multiples of the token width d
+INIT_STD = 0.02     # standard deviation of every randomly initialized weight
+
 
 @dataclass(frozen=True)
 class VideoTowerConfig:
@@ -37,7 +40,6 @@ class VideoTowerConfig:
     L: int = 4
     heads: int = 4
     D: int = 32
-    mlp_ratio: int = 4
     patch: int = 4              # patch side P; frames are H x W x 3, H,W % P == 0
 
     def __post_init__(self):
@@ -55,30 +57,30 @@ class TextTowerConfig:
     width: int = 32
 
 
-def init_video_params(config: VideoTowerConfig, rng: np.random.Generator,
-                      std: float = 0.02) -> dict[str, np.ndarray]:
+def init_video_params(config: VideoTowerConfig,
+                      rng: np.random.Generator) -> dict[str, np.ndarray]:
     lay = config.layout
     d = lay.d
     pdim = config.patch * config.patch * 3
     p = {
-        "patch_proj.w": rng.normal(0.0, std, (pdim, d)),
+        "patch_proj.w": rng.normal(0.0, INIT_STD, (pdim, d)),
         "patch_proj.b": np.zeros(d),
-        "pos.spatial": rng.normal(0.0, std, (lay.N, d)),
+        "pos.spatial": rng.normal(0.0, INIT_STD, (lay.N, d)),
         # temporal embeddings start at zero: at init every frame is treated
         # like a still image and per-frame representations are symmetric
         "pos.temporal": np.zeros((lay.T, d)),
-        "cls": rng.normal(0.0, std, (1, d)),
-        "head.w": rng.normal(0.0, std, (d, config.D)),
+        "cls": rng.normal(0.0, INIT_STD, (1, d)),
+        "head.w": rng.normal(0.0, INIT_STD, (d, config.D)),
     }
     if lay.num_mst:
-        p["mst"] = rng.normal(0.0, std, (lay.num_mst, d))
+        p["mst"] = rng.normal(0.0, INIT_STD, (lay.num_mst, d))
     for l in range(config.L):
         for blk in ("slt", "gst"):
             pre = f"layer{l}.{blk}"
             p[f"{pre}.ln.g"] = np.ones(d)
             p[f"{pre}.ln.b"] = np.zeros(d)
             for w in ("wq", "wk", "wv"):
-                p[f"{pre}.{w}"] = rng.normal(0.0, std, (d, d))
+                p[f"{pre}.{w}"] = rng.normal(0.0, INIT_STD, (d, d))
             for b in ("bq", "bk", "bv", "bo"):
                 p[f"{pre}.{b}"] = np.zeros(d)
             # SlT output projections start at zero so each block is an exact
@@ -86,21 +88,21 @@ def init_video_params(config: VideoTowerConfig, rng: np.random.Generator,
             if blk == "slt":
                 p[f"{pre}.wo"] = np.zeros((d, d))
             else:
-                p[f"{pre}.wo"] = rng.normal(0.0, std, (d, d))
-        h = config.mlp_ratio * d
-        p[f"layer{l}.mlp.w1"] = rng.normal(0.0, std, (d, h))
+                p[f"{pre}.wo"] = rng.normal(0.0, INIT_STD, (d, d))
+        h = MLP_RATIO * d
+        p[f"layer{l}.mlp.w1"] = rng.normal(0.0, INIT_STD, (d, h))
         p[f"layer{l}.mlp.b1"] = np.zeros(h)
-        p[f"layer{l}.mlp.w2"] = rng.normal(0.0, std, (h, d))
+        p[f"layer{l}.mlp.w2"] = rng.normal(0.0, INIT_STD, (h, d))
         p[f"layer{l}.mlp.b2"] = np.zeros(d)
     return p
 
 
-def init_text_params(config: TextTowerConfig, rng: np.random.Generator,
-                     std: float = 0.02) -> dict[str, np.ndarray]:
+def init_text_params(config: TextTowerConfig,
+                     rng: np.random.Generator) -> dict[str, np.ndarray]:
     return {
-        "text.emb": rng.normal(0.0, std, (config.vocab, config.width)),
-        "text.pos": rng.normal(0.0, std, (config.context, config.width)),
-        "text.proj.w": rng.normal(0.0, std, (config.width, config.D)),
+        "text.emb": rng.normal(0.0, INIT_STD, (config.vocab, config.width)),
+        "text.pos": rng.normal(0.0, INIT_STD, (config.context, config.width)),
+        "text.proj.w": rng.normal(0.0, INIT_STD, (config.width, config.D)),
     }
 
 

@@ -12,14 +12,15 @@ import pytest
 from conftest import rel_err
 from hta.alignment import (AlignmentBatch, TrainConfig, info_nce, total_loss,
                            train)
-from hta.masks import MASK_NEG, TokenLayout, gst_stacked_mask, slt_mask
-from hta.oracles import (brute_force_ranks, reference_slt_mask,
-                         reference_stacked_mask)
-from hta.retrieval import dual_softmax, evaluate, similarity
-from hta.tape import Tape, layer_norm_value, masked_softmax_value
+from hta.masks import MASK_NEG, TokenLayout, gst_stacked_mask
+from hta.oracles import brute_force_ranks
+from hta.retrieval import dual_softmax, evaluate, metrics_from_ranks, similarity
+from hta.selftest import (check_masked_weights, check_masks, check_ranks,
+                          check_slt_identity, layer_weights)
+from hta.tape import Tape
 from hta.towers import (TextTowerConfig, VideoTowerConfig, init_text_params,
-                        init_video_params, register_params, slt_block,
-                        text_embedding, video_embedding, video_embeddings)
+                        init_video_params, register_params, text_embedding,
+                        video_embedding, video_embeddings)
 
 FIG3 = TokenLayout(T=4, N=4, U=2, V=1, r=2, d=8)
 
@@ -42,16 +43,12 @@ def toy_setup(seed=0):
 
 def test_criterion_01_mask_oracle_full_grid():
     t0 = time.monotonic()
-    checked = 0
-    for t, n, u, v, r in itertools.product((2, 4, 8, 12), (1, 4, 9),
-                                           (0, 1, 2, 3), (1, 2, 4), (2, 3)):
-        lay = TokenLayout(T=t, N=n, U=u, V=v, r=r)
-        assert np.array_equal(slt_mask(lay), reference_slt_mask(lay))
-        assert np.array_equal(gst_stacked_mask(lay), reference_stacked_mask(lay))
-        checked += 1
+    grid = itertools.product((2, 4, 8, 12), (1, 4, 9), (0, 1, 2, 3), (1, 2, 4), (2, 3))
+    layouts = [TokenLayout(T=t, N=n, U=u, V=v, r=r) for t, n, u, v, r in grid]
+    failure = check_masks(layouts)
     elapsed = time.monotonic() - t0
-    report(1, checked == 288 and elapsed < 5.0,
-           f"{checked} layouts exact in {elapsed:.2f}s")
+    report(1, failure is None and len(layouts) == 288 and elapsed < 5.0,
+           failure or f"{len(layouts)} layouts exact in {elapsed:.2f}s")
 
 
 def test_criterion_02_fig3_hand_enumeration():
@@ -72,26 +69,10 @@ def test_criterion_02_fig3_hand_enumeration():
 
 def test_criterion_03_zero_init_identity():
     cfg, _, params, rng = toy_setup()
-    ok = True
-    for _ in range(100):
-        z = rng.normal(size=(FIG3.seq_len, 8))
-        tape = Tape()
-        pid = register_params(tape, params)
-        for l in range(cfg.L):
-            if not np.array_equal(
-                    tape.value(slt_block(tape, tape.constant(z), l, pid, cfg)), z):
-                ok = False
-    report(3, ok, "SlT block bitwise identity on 100 random inputs")
-
-
-def _head_weights(x_pre, params, pre, mask_entries, heads):
-    x, _, _ = layer_norm_value(x_pre, params[f"{pre}.ln.g"], params[f"{pre}.ln.b"])
-    q = x @ params[f"{pre}.wq"] + params[f"{pre}.bq"]
-    k = x @ params[f"{pre}.wk"] + params[f"{pre}.bk"]
-    dh = x.shape[1] // heads
-    for h in range(heads):
-        qh, kh = q[:, h * dh:(h + 1) * dh], k[:, h * dh:(h + 1) * dh]
-        yield masked_softmax_value(qh @ kh.T / math.sqrt(dh), mask_entries)
+    failure = check_slt_identity(
+        cfg, params, [rng.normal(size=(FIG3.seq_len, 8)) for _ in range(100)])
+    report(3, failure is None,
+           failure or "SlT block bitwise identity on 100 random inputs")
 
 
 def test_criterion_04_mask_enforcement():
@@ -99,19 +80,9 @@ def test_criterion_04_mask_enforcement():
     for l in range(cfg.L):    # give SlT real weights too
         params[f"layer{l}.slt.wo"] = rng.normal(0.0, 0.1, (8, 8))
     z = rng.normal(size=(FIG3.seq_len, 8))
-    slt_entries = slt_mask(FIG3)
-    gst_entries = gst_stacked_mask(FIG3)
-    ok = True
-    for l in range(cfg.L):
-        for w in _head_weights(z[3:], params, f"layer{l}.slt", slt_entries,
-                               cfg.heads):
-            ok &= bool((w[slt_entries != 0.0] == 0.0).all())
-            ok &= bool(np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12)
-        for w in _head_weights(z, params, f"layer{l}.gst", gst_entries,
-                               cfg.heads):
-            ok &= bool((w[gst_entries != 0.0] == 0.0).all())
-            ok &= bool(np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12)
-    report(4, ok, "masked weights exactly 0; rows sum to 1 +- 1e-12")
+    failure = check_masked_weights(layer_weights(cfg, params, z))
+    report(4, failure is None,
+           failure or "masked weights exactly 0; rows sum to 1 +- 1e-12")
 
 
 def test_criterion_05_gradient_fidelity():
@@ -203,14 +174,16 @@ def test_criterion_07_synthetic_alignment():
 
 
 def test_criterion_08_metric_oracle():
-    from hta.retrieval import metrics_from_ranks, ranks
     rng = np.random.default_rng(8)
-    ok = all(np.array_equal(ranks(s), brute_force_ranks(s))
-             for s in (rng.normal(size=(8, 8)) for _ in range(200)))
+    matrices = [rng.normal(size=(8, 8)) for _ in range(200)]
+    matrices += [rng.normal(size=(q, q)) for q in (1, 2, 5, 17)]    # other sizes
+    matrices.append(rng.integers(0, 3, size=(8, 8)).astype(float))   # ties
+    failure = check_ranks(matrices)
     rep = metrics_from_ranks(np.array([1, 2, 6]))
-    ok &= round(rep.r1, 2) == 33.33 and rep.mdr == 2 and rep.mnr == 3.0
-    report(8, ok, f"200 matrices exact; fixture R@1 {rep.r1:.2f}, "
-                  f"MdR {rep.mdr:g}, MnR {rep.mnr}")
+    ok = round(rep.r1, 2) == 33.33 and rep.mdr == 2 and rep.mnr == 3.0
+    report(8, failure is None and ok,
+           failure or f"{len(matrices)} matrices exact; fixture R@1 {rep.r1:.2f}, "
+                      f"MdR {rep.mdr:g}, MnR {rep.mnr}")
 
 
 def test_criterion_09_dual_softmax_properties():

@@ -123,7 +123,14 @@ def test_train_config_validation():
         TrainConfig(base_lr=1e-5, final_lr=1e-3)
     with pytest.raises(ValueError):
         TrainConfig(init_tau=0.0)
+    for bad in ({"steps": 0}, {"steps": -3}, {"batch_size": 0}, {"beta1": 1.0},
+                {"beta2": -0.1}, {"weight_decay": -1e-3}, {"init_tau": math.nan},
+                {"clip_norm": math.nan}, {"base_lr": math.inf, "final_lr": math.inf},
+                {"weight_decay": math.nan}, {"beta1": math.nan}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
     TrainConfig(base_lr=0.0, final_lr=0.0)       # frozen run is legal
+    TrainConfig(steps=1, batch_size=1, beta1=0.0, beta2=0.0, weight_decay=0.0)
 
 
 def test_adamw_decay_rules():
@@ -175,11 +182,14 @@ def test_train_reduces_loss_and_is_deterministic():
 
 
 def test_train_divergence_raises():
-    params, batch = tiny_setup(seed=6)
-    params["text.proj.w"][0, 0] = np.nan   # text path has no masked softmax
-    with pytest.raises(DivergenceError) as e:
-        train(batch, params, VCFG, TCFG, TrainConfig(steps=2, batch_size=3))
-    assert e.value.step == 0
+    # NaN weights in either tower reach the loss; in the video tower they pass
+    # through masked softmax, which must not mistake them for a blocked row
+    for name in ("text.proj.w", "layer0.gst.wq"):
+        params, batch = tiny_setup(seed=6)
+        params[name][0, 0] = np.nan
+        with pytest.raises(DivergenceError) as e:
+            train(batch, params, VCFG, TCFG, TrainConfig(steps=2, batch_size=3))
+        assert e.value.step == 0
 
 
 def test_batch_validation():

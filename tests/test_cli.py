@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hta import cli
+from hta import cli, selftest
 from hta.alignment import TrainConfig
 from hta.cli import run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
@@ -93,6 +96,19 @@ def test_curate_empty_dir_exits_1(tmp_path, capsys):
     assert run(["curate", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("t1, fps", [(1e6, "0.1"), (1e300, "0.1"), (5.0, "inf"),
+                                     (5.0, "1e308")])
+def test_curate_unbounded_caption_frames_exit_1(tmp_path, capsys, t1, fps):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "v.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": t1}]}))
+    assert run(["curate", "--in", str(src), "--out", str(tmp_path / "out"),
+                "--placeholder-captions", "--fps", fps]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "v.jsonl").exists()
+
+
 def test_train_smoke_and_config_precedence(tmp_path, capsys):
     rng = np.random.default_rng(3)
     b = 4
@@ -167,6 +183,48 @@ def test_train_config_unknown_key_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def small_dataset(data):
+    """Write a 4-clip dataset into `data`; return the model flags that fit it."""
+    data.mkdir()
+    write_tensor(data / "clips.hta", np.zeros((4, 2, 8, 8, 3)))
+    (data / "texts.json").write_text(json.dumps(
+        {"subtitles": [[1], [2], [3], [4]], "captions": [[5], [6], [7], [8]]}))
+    return ["--width", "8", "--layers", "1", "--heads", "2", "--embed-dim", "4",
+            "--hierarchies", "1", "--vocab", "16", "--context", "4"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--steps 0", "steps"), ("--steps -3", "steps"), ("--batch-size 0", "batch_size"),
+    ("--init-tau nan", "init_tau must be finite"),
+    ("--clip-norm nan", "clip_norm must be finite"),
+    ("--base-lr inf --final-lr inf", "base_lr must be finite"),
+    ("--weight-decay nan", "weight_decay must be finite"),
+    ("--beta2 1", "beta2"), ("--weight-decay -0.5", "weight_decay"),
+    ("--init-tau 5e-324", "non-finite loss"),      # exp(-log tau) overflows
+])
+def test_train_bad_config_exits_1_before_writing(tmp_path, capsys, flags, message):
+    model = small_dataset(tmp_path / "data")
+    assert run(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
+                *model, *flags.split()]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(max_size=80) | st.lists(
+    st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)] + ["#", "=", " "])
+    | st.text(max_size=6), max_size=12).map("".join))
+def test_train_config_file_exits_0_or_1(tmp_path_factory, monkeypatch, text):
+    tmp = tmp_path_factory.mktemp("cfg")
+    model = small_dataset(tmp / "data")
+    monkeypatch.setattr(cli, "train", lambda *a, **k: [(0, 1.0, 1e-3, 0.01)])
+    (tmp / "train.cfg").write_text(text, encoding="utf-8")
+    assert run(["train", "--config", str(tmp / "train.cfg"), "--data", str(tmp / "data"),
+                "--out", str(tmp / "o"), *model]) in (0, 1)
+
+
 def test_train_bad_clip_rank_exits_1(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -232,4 +290,19 @@ def test_eval_errors_exit_1(tmp_path, capsys):
 def test_selftest_command(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_selftest_names_the_input_that_breaks_an_invariant(monkeypatch, capsys):
+    # an SlT mask that blocks nothing
+    monkeypatch.setattr(selftest, "slt_mask", lambda lay: np.zeros((lay.T * lay.N,) * 2))
+    assert run(["selftest"]) == 1
+    assert ("FAIL  mask oracle equivalence: slt mask differs from its oracle at "
+            "TokenLayout(T=4, N=4, U=2") in capsys.readouterr().out
+
+
+def test_importing_cli_loads_neither_selftest_nor_oracles():
+    code = "import sys, hta.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "hta.cli" in loaded and not {"hta.selftest", "hta.oracles"} & set(loaded)

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from hta.cli import run
 
-from hta.datapipe import (SUMMARIZE_PROMPT, WORD_CAP, ClipRecord,
-                          SummarizerSpec, TranscriptSentence, TransportError,
-                          _http_post, caption_frames, clip_to_json,
-                          extract_clips, read_transcript_line, segment, stats,
-                          summarize, summarize_clips)
+from hta.datapipe import (MAX_CAPTION_FRAMES, SUMMARIZE_PROMPT, WORD_CAP,
+                          ClipRecord, SummarizerSpec, TranscriptSentence,
+                          TransportError, _http_post, caption_frames,
+                          clip_to_json, extract_clips, read_transcript_line,
+                          segment, stats, summarize, summarize_clips)
 
 
 def make_words(texts, dur=1.0):
@@ -140,8 +140,14 @@ def test_caption_frames_counts():
     assert len(caption_frames(clip, fps=0.5)) == 7
     tiny = ClipRecord("v", (0, 0), 0.0, 0.4, "short", "x.")
     assert caption_frames(tiny, fps=1.0) == [0.0]   # never zero frames
-    with pytest.raises(ValueError, match="fps"):
-        caption_frames(clip, fps=0.0)
+    for fps in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="fps"):
+            caption_frames(clip, fps=fps)
+    cap = ClipRecord("v", (0, 0), 0.0, MAX_CAPTION_FRAMES - 0.5, "long", "x.")
+    assert len(caption_frames(cap, fps=1.0)) == MAX_CAPTION_FRAMES
+    for end, fps in ((MAX_CAPTION_FRAMES, 1.0), (1e6, 0.1), (1e300, 0.1), (15.0, 1e308)):
+        with pytest.raises(ValueError, match="caption frames"):
+            caption_frames(ClipRecord("v", (0, 0), 0.0, end, "long", "x."), fps)
 
 
 # -- summarization -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -158,3 +159,47 @@ def test_save_refuses_to_replace_a_directory_that_is_not_a_checkpoint(tmp_path):
     empty.mkdir()
     save_checkpoint(empty, {"a": np.ones(2)})
     assert np.array_equal(load_checkpoint(empty)[0]["a"], np.ones(2))
+
+
+@pytest.mark.parametrize("manifest", [
+    [1, 2], {"params": 5}, {"params": {"w": 5}}, {"params": {"w": {"file": 3}}},
+    {"params": {"w": {"file": "OUTSIDE", "shape": [2]}}},     # an absolute path
+    {"params": {"w": {"file": "../outside.hta", "shape": [2]}}},
+    {"params": {"w": {"file": "missing.hta", "shape": [2]}}},
+    {"params": {"w": {"file": "", "shape": [2]}}},
+    {"params": {"w": {"file": "link.hta", "shape": [2]}}},
+    {"params": {"w": {"file": "w.hta"}}},
+    {"params": {}, "config": [1]},
+], ids=repr)
+def test_load_checkpoint_rejects_untrusted_manifest(tmp_path, manifest):
+    save_checkpoint(tmp_path / "c", {"w": np.ones(2)})
+    write_tensor(tmp_path / "outside.hta", np.ones(2))
+    (tmp_path / "c" / "link.hta").symlink_to(tmp_path / "outside.hta")
+    (tmp_path / "c" / "manifest.json").write_text(
+        json.dumps(manifest).replace("OUTSIDE", str(tmp_path / "outside.hta")))
+    with pytest.raises(ValueError):
+        load_checkpoint(tmp_path / "c")
+
+
+MANIFEST_FILES = st.sampled_from(["w.hta", "manifest.json", "..", ".", "",
+                                  "/etc/hostname", "../c/w.hta"]) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | MANIFEST_FILES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["params", "config", "file", "shape", "w"]), inner,
+                      max_size=3), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(JSON_VALUES | st.fixed_dictionaries({"params": st.dictionaries(
+    st.text(max_size=2), st.fixed_dictionaries({"file": MANIFEST_FILES,
+                                                "shape": JSON_VALUES}), max_size=2)}))
+def test_arbitrary_manifest_raises_only_value_error(tmp_path, manifest):
+    if not (tmp_path / "c").exists():
+        save_checkpoint(tmp_path / "c", {"w": np.ones(2)})
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        load_checkpoint(tmp_path / "c")
+    except ValueError:
+        pass

@@ -28,16 +28,6 @@ def test_ranks_hand_worked_2x2():
     assert ranks(s).tolist() == [2, 1]
 
 
-def test_ranks_match_brute_force():
-    rng = np.random.default_rng(1)
-    for q in (1, 2, 5, 17):
-        s = rng.normal(size=(q, q))
-        assert np.array_equal(ranks(s), brute_force_ranks(s))
-    # with deliberate ties
-    s = rng.integers(0, 3, size=(8, 8)).astype(float)
-    assert np.array_equal(ranks(s), brute_force_ranks(s))
-
-
 def test_ranks_permutation_equivariance():
     rng = np.random.default_rng(2)
     s = rng.normal(size=(6, 6))

@@ -4,7 +4,8 @@ from scipy.special import erf
 
 from conftest import rel_err
 from hta.masks import TokenLayout, gst_stacked_mask, slt_mask
-from hta.tape import Tape, layer_norm_value, masked_softmax_value
+from hta.selftest import head_weights
+from hta.tape import Tape, layer_norm_value
 from hta.towers import (TextTowerConfig, VideoTowerConfig, embed_frames_batch,
                         encode_text, encode_video_batch, gst_block,
                         init_text_params, init_video_params, patchify,
@@ -76,17 +77,6 @@ def test_embed_frame_permutation():
 # -- SlT block -------------------------------------------------------------
 
 
-def test_slt_zero_init_identity_bitwise():
-    params = fig3_params()
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        z = rng.normal(size=(FIG3.seq_len, 8))
-        tape = Tape()
-        pid = register_params(tape, params)
-        out = tape.value(slt_block(tape, tape.constant(z), 0, pid, CFG))
-        assert np.array_equal(out, z)
-
-
 def test_slt_special_rows_untouched_any_weights():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(7)
@@ -128,26 +118,12 @@ def test_slt_shape_mismatch():
 # -- GST block --------------------------------------------------------------
 
 
-def attention_weights(z, params, pre, mask_entries, heads):
-    """Independent numpy recomputation of the per-head attention matrices."""
-    x, _, _ = layer_norm_value(z, params[f"{pre}.ln.g"], params[f"{pre}.ln.b"])
-    q = x @ params[f"{pre}.wq"] + params[f"{pre}.bq"]
-    k = x @ params[f"{pre}.wk"] + params[f"{pre}.bk"]
-    d = z.shape[1]
-    dh = d // heads
-    mats = []
-    for h in range(heads):
-        qh, kh = q[:, h * dh:(h + 1) * dh], k[:, h * dh:(h + 1) * dh]
-        mats.append(masked_softmax_value(qh @ kh.T / np.sqrt(dh), mask_entries))
-    return mats
-
-
 def test_gst_patch_row_weights_only_mst_and_same_frame():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(9)
     z = rng.normal(size=(FIG3.seq_len, 8))
     mask = gst_stacked_mask(FIG3)
-    for w in attention_weights(z, params, "layer0.gst", mask, CFG.heads):
+    for w in head_weights(z, params, "layer0.gst", mask, CFG.heads):
         patch_row = w[3]                      # frame-0 patch 0
         allowed = {1, 2, 3, 4, 5, 6}          # [MST] x2 + frame-0 patches
         assert set(np.flatnonzero(patch_row > 0)) <= allowed
@@ -160,7 +136,7 @@ def test_gst_cls_row_spans_everything():
     rng = np.random.default_rng(10)
     z = rng.normal(size=(FIG3.seq_len, 8))
     mask = gst_stacked_mask(FIG3)
-    for w in attention_weights(z, params, "layer1.gst", mask, CFG.heads):
+    for w in head_weights(z, params, "layer1.gst", mask, CFG.heads):
         assert (w[0] > 0).all()
         assert abs(w[0].sum() - 1.0) <= 1e-12
 
@@ -171,7 +147,7 @@ def test_gst_mst_level1_skips_odd_frames():
     z = rng.normal(size=(FIG3.seq_len, 8))
     mask = gst_stacked_mask(FIG3)
     odd_frame_cols = list(range(7, 11)) + list(range(15, 19))
-    for w in attention_weights(z, params, "layer0.gst", mask, CFG.heads):
+    for w in head_weights(z, params, "layer0.gst", mask, CFG.heads):
         assert (w[2][odd_frame_cols] == 0.0).all()
 
 
