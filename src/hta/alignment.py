@@ -39,6 +39,9 @@ class AlignmentBatch:
         return len(self.clips)
 
 
+LOG_TAU_FLOOR = -5.0   # tau never drops below e^-5
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 200
@@ -65,8 +68,11 @@ class TrainConfig:
         # zero is allowed so a frozen run is expressible
         if not (0.0 <= self.final_lr <= self.base_lr):
             raise ValueError("need 0 <= final_lr <= base_lr")
-        if self.clip_norm <= 0 or self.init_tau <= 0:
-            raise ValueError("clip_norm and init_tau must be positive")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
+        if self.init_tau < math.exp(LOG_TAU_FLOOR):
+            raise ValueError(f"init_tau must be >= e^{LOG_TAU_FLOOR:g}, the floor "
+                             f"on tau, got {self.init_tau}")
 
 
 def info_nce(v: np.ndarray, t: np.ndarray, tau: float) -> float:
@@ -168,16 +174,15 @@ class AdamW:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
-LOG_TAU_FLOOR = -5.0   # tau never drops below e^-5
-
-
 def train(dataset: AlignmentBatch, params: dict[str, np.ndarray],
           vcfg: VideoTowerConfig, tcfg: TextTowerConfig, config: TrainConfig,
           seed: int = 0):
     """Optimize params in place on in-batch negatives drawn from `dataset`.
 
     Returns the per-step trace as a list of (step, loss, lr, tau) tuples.
-    Raises DivergenceError on the first non-finite loss.
+    Raises DivergenceError on the first non-finite loss; numpy's overflow and
+    invalid-value warnings on the way there are silenced, since that check
+    reports them.
     """
     if len(dataset) < 1:
         raise ValueError("empty dataset")
@@ -191,19 +196,20 @@ def train(dataset: AlignmentBatch, params: dict[str, np.ndarray],
         batch = AlignmentBatch([dataset.clips[i] for i in idx],
                                [dataset.subtitles[i] for i in idx],
                                [dataset.captions[i] for i in idx])
-        tape = Tape()
-        pid = register_params(tape, params)
-        loss_node = total_loss_node(tape, batch, pid, vcfg, tcfg)
-        loss = float(tape.value(loss_node))
-        if not math.isfinite(loss):
-            raise DivergenceError(step, loss)
-        node_grads = tape.backward(loss_node)
-        # copy: backward may hand out views, and clipping mutates in place
-        grads = {name: np.array(node_grads[nid], dtype=np.float64)
-                 for name, nid in pid.items() if nid in node_grads}
-        clip_by_global_norm(grads, config.clip_norm)
-        lr = cosine_lr(step, config)
-        opt.step(params, grads, lr)
-        params["log_tau"] = np.maximum(params["log_tau"], LOG_TAU_FLOOR)
-        trace.append((step, loss, lr, float(np.exp(params["log_tau"]))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tape = Tape()
+            pid = register_params(tape, params)
+            loss_node = total_loss_node(tape, batch, pid, vcfg, tcfg)
+            loss = float(tape.value(loss_node))
+            if not math.isfinite(loss):
+                raise DivergenceError(step, loss)
+            node_grads = tape.backward(loss_node)
+            # copy: backward may hand out views, and clipping mutates in place
+            grads = {name: np.array(node_grads[nid], dtype=np.float64)
+                     for name, nid in pid.items() if nid in node_grads}
+            clip_by_global_norm(grads, config.clip_norm)
+            lr = cosine_lr(step, config)
+            opt.step(params, grads, lr)
+            params["log_tau"] = np.maximum(params["log_tau"], LOG_TAU_FLOOR)
+            trace.append((step, loss, lr, float(np.exp(params["log_tau"]))))
     return trace

@@ -163,8 +163,7 @@ def cmd_curate(args) -> int:
     endpoint = "" if args.summarizer == "fallback" else args.summarizer
     spec = datapipe.SummarizerSpec(endpoint=endpoint)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    all_clips = []
+    outputs, all_clips = [], []
     for path in sorted(in_dir.glob("*.jsonl")):
         records = []
         for line in path.read_text().splitlines():
@@ -179,12 +178,15 @@ def cmd_curate(args) -> int:
                 ) if args.placeholder_captions else clip.caption
             datapipe.summarize_clips(clips, spec)
             records.extend(clips)
-        out_path = out_dir / path.name
-        out_path.write_text(
-            "\n".join(datapipe.clip_to_json(c) for c in records) + "\n")
+        outputs.append((out_dir / path.name, records))
         all_clips.extend(records)
     if not all_clips:
         raise ValueError(f"no transcripts found in {in_dir}")
+    # every file has parsed: a contract error above leaves no partial output
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for out_path, records in outputs:
+        out_path.write_text(
+            "\n".join(datapipe.clip_to_json(c) for c in records) + "\n")
     table = datapipe.stats(all_clips)
     (out_dir / "stats.json").write_text(json.dumps(table, indent=2))
     _write_manifest(out_dir / "clips", vars(args), args.seed)

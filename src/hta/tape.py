@@ -60,6 +60,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
+
+
 def masked_softmax_value(logits: np.ndarray, mask_entries: np.ndarray) -> np.ndarray:
     """Last-axis softmax of logits with positions forbidden by the mask forced
     to 0. The [s, s] mask broadcasts over any leading axes of the logits.
@@ -148,14 +153,23 @@ class Tape:
 
     def matmul(self, a: int, b: int) -> int:
         av, bv = self._vals[a], self._vals[b]
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-            raise ValueError(
-                f"matmul shape mismatch: {av.shape} x {bv.shape}"
-            )
+        _check_matmul(av, bv)
         out = av @ bv
         return self._push(out, [
             (a, lambda g, o=bv: g @ o.T),
             (b, lambda g, o=av: o.T @ g),
+        ])
+
+    def linear(self, x: int, w: int, b: int) -> int:
+        """x @ w + b for x [n, k], w [k, m] and b [m], as one node."""
+        xv, wv = self._vals[x], self._vals[w]
+        _check_matmul(xv, wv)
+        out = xv @ wv
+        out += self._vals[b]
+        return self._push(out, [
+            (x, lambda g, o=wv: g @ o.T),
+            (w, lambda g, o=xv: o.T @ g),
+            (b, lambda g: g.sum(axis=0)),
         ])
 
     def bmm(self, a: int, b: int) -> int:
@@ -285,16 +299,24 @@ class Tape:
     # -- reverse pass --------------------------------------------------------
 
     def backward(self, root: int) -> dict[int, np.ndarray]:
-        """Gradients of a scalar root w.r.t. every tracked node on the tape."""
+        """Gradients of a scalar root w.r.t. the tracked leaves it depends on.
+
+        A non-leaf node's gradient is dropped as soon as its VJPs have run, so
+        the pass holds only the gradients still in flight. The tape is left
+        as it was: backward may run again on it.
+        """
         rv = self._vals[root]
         if rv.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {rv.shape}")
-        grads: dict[int, np.ndarray] = {root: np.ones_like(rv)}
+        grads = {root: np.ones_like(rv)} if self._track[root] else {}
         for nid in range(root, -1, -1):
-            g = grads.get(nid)
+            parents = self._parents[nid]
+            if not parents:             # a leaf keeps its gradient
+                continue
+            g = grads.pop(nid, None)
             if g is None:
                 continue
-            for pid, vjp in self._parents[nid]:
+            for pid, vjp in parents:
                 contrib = vjp(g)
                 if pid in grads:
                     grads[pid] = grads[pid] + contrib

@@ -142,8 +142,7 @@ def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
             f"clips yield {rows.shape[0]} patches, layout expects "
             f"{len(clips)} x {lay.T * lay.N}"
         )
-    x = tape.matmul(tape.constant(rows), pid["patch_proj.w"])
-    x = tape.add(x, pid["patch_proj.b"])
+    x = tape.linear(tape.constant(rows), pid["patch_proj.w"], pid["patch_proj.b"])
     x = tape.reshape(x, (len(clips), lay.T, lay.N, lay.d))
     x = tape.add(x, pid["pos.spatial"])
     x = tape.add(x, tape.reshape(pid["pos.temporal"], (lay.T, 1, lay.d)))
@@ -163,7 +162,7 @@ def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
     split = (rows // (s * stride), s, stride, heads, dh)
 
     def project(w: str, axes) -> int:
-        y = tape.add(tape.matmul(x, pid[f"{pre}.w{w}"]), pid[f"{pre}.b{w}"])
+        y = tape.linear(x, pid[f"{pre}.w{w}"], pid[f"{pre}.b{w}"])
         return tape.transpose(tape.reshape(y, split), axes)
 
     q = project("q", (0, 2, 3, 1, 4))        # [blocks, stride, heads, s, dh]
@@ -172,7 +171,7 @@ def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
     logits = tape.scale(tape.bmm(q, kt), 1.0 / math.sqrt(dh))
     out = tape.bmm(tape.masked_softmax(logits, mask_entries), v)
     merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (rows, d))
-    return tape.add(tape.matmul(merged, pid[f"{pre}.wo"]), pid[f"{pre}.bo"])
+    return tape.linear(merged, pid[f"{pre}.wo"], pid[f"{pre}.bo"])
 
 
 def _batch_size(tape: Tape, z: int, lay: TokenLayout) -> int:
@@ -214,8 +213,8 @@ def gst_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
     x = tape.layer_norm(z, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
     z = tape.add(_attention(tape, x, pre, pid, mask, config.heads), z)
     m = f"layer{layer}.mlp"
-    h = tape.gelu(tape.add(tape.matmul(z, pid[f"{m}.w1"]), pid[f"{m}.b1"]))
-    mlp = tape.add(tape.matmul(h, pid[f"{m}.w2"]), pid[f"{m}.b2"])
+    h = tape.gelu(tape.linear(z, pid[f"{m}.w1"], pid[f"{m}.b1"]))
+    mlp = tape.linear(h, pid[f"{m}.w2"], pid[f"{m}.b2"])
     return tape.add(mlp, z)
 
 

@@ -126,10 +126,12 @@ def test_train_config_validation():
     for bad in ({"steps": 0}, {"steps": -3}, {"batch_size": 0}, {"beta1": 1.0},
                 {"beta2": -0.1}, {"weight_decay": -1e-3}, {"init_tau": math.nan},
                 {"clip_norm": math.nan}, {"base_lr": math.inf, "final_lr": math.inf},
-                {"weight_decay": math.nan}, {"beta1": math.nan}):
+                {"weight_decay": math.nan}, {"beta1": math.nan},
+                {"init_tau": 5e-324}, {"init_tau": math.exp(-5.0) * 0.999}):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(base_lr=0.0, final_lr=0.0)       # frozen run is legal
+    TrainConfig(init_tau=math.exp(-5.0))         # tau may start at its floor
     TrainConfig(steps=1, batch_size=1, beta1=0.0, beta2=0.0, weight_decay=0.0)
 
 

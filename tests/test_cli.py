@@ -109,6 +109,19 @@ def test_curate_unbounded_caption_frames_exit_1(tmp_path, capsys, t1, fps):
     assert not (tmp_path / "out" / "v.jsonl").exists()
 
 
+def test_curate_bad_later_file_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    for name, t1 in (("a", 5.0), ("b", 1e6)):    # b has too many caption frames
+        (src / f"{name}.jsonl").write_text(json.dumps(
+            {"video_id": name, "sentences": [{"text": "a.", "t0": 0.0, "t1": t1}]}))
+    out = tmp_path / "out"
+    assert run(["curate", "--in", str(src), "--out", str(out),
+                "--placeholder-captions"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "a.jsonl").exists() and not (out / "stats.json").exists()
+
+
 def test_train_smoke_and_config_precedence(tmp_path, capsys):
     rng = np.random.default_rng(3)
     b = 4
@@ -200,7 +213,8 @@ def small_dataset(data):
     ("--base-lr inf --final-lr inf", "base_lr must be finite"),
     ("--weight-decay nan", "weight_decay must be finite"),
     ("--beta2 1", "beta2"), ("--weight-decay -0.5", "weight_decay"),
-    ("--init-tau 5e-324", "non-finite loss"),      # exp(-log tau) overflows
+    ("--init-tau 5e-324", "init_tau must be >= e^-5"),
+    ("--weight-decay 1e300 --steps 3", "non-finite loss nan at step 1"),
 ])
 def test_train_bad_config_exits_1_before_writing(tmp_path, capsys, flags, message):
     model = small_dataset(tmp_path / "data")
@@ -209,6 +223,17 @@ def test_train_bad_config_exits_1_before_writing(tmp_path, capsys, flags, messag
     err = capsys.readouterr().err
     assert "error: " in err and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_diverging_train_writes_one_stderr_line(tmp_path):
+    model = small_dataset(tmp_path / "data")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from hta.cli import main; main()", "train",
+         "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"), *model,
+         "--weight-decay", "1e300", "--steps", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: non-finite loss nan at step 1"]
 
 
 @settings(max_examples=100, deadline=None,
