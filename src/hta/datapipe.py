@@ -9,12 +9,10 @@ Output is one JSON line per ClipRecord.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
 import sys
-import urllib.request
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -122,6 +120,10 @@ def extract_clips(video_id: str, sentences: list[TranscriptSentence],
     """
     if not sentences:
         raise ValueError("no sentences to extract clips from")
+    if len(scales) != len(SCALE_NAMES) or not all(
+            0 < target < math.inf for target in scales):      # False for NaN
+        raise ValueError(f"scales must be {len(SCALE_NAMES)} finite targets "
+                         f"> 0, got {scales}")
     n = len(sentences)
     clips = []
     for name, target in zip(SCALE_NAMES, scales):
@@ -198,6 +200,8 @@ def summarize(texts: list[str], spec: SummarizerSpec,
 
 
 def _http_post(spec: SummarizerSpec, payload: dict) -> str:
+    import http.client     # only the external summarizer needs the HTTP stack
+    import urllib.request
     headers = {"Content-Type": "application/json"}
     if spec.api_key:
         headers["Authorization"] = f"Bearer {spec.api_key}"

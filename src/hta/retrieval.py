@@ -53,8 +53,8 @@ def similarity(queries: np.ndarray, candidates: np.ndarray,
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:                    # False for NaN too
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
 
 def _check_square(shape: tuple, what: str) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-from scipy.special import erf
 
 # glibc mallopt parameters (malloc.h).
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -259,6 +258,9 @@ class Tape:
         return self._push(p, [(logits, vjp)])
 
     def gelu(self, a: int) -> int:
+        # imported here, not at the top: scipy.special takes longer to import
+        # than the rest of hta, and only the video tower's MLP needs it
+        from scipy.special import erf
         x = self._vals[a]
         phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         out = x * phi

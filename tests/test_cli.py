@@ -109,6 +109,19 @@ def test_curate_unbounded_caption_frames_exit_1(tmp_path, capsys, t1, fps):
     assert not (tmp_path / "out" / "v.jsonl").exists()
 
 
+@pytest.mark.parametrize("scales", ["nan,30,60", "-1,0,5", "inf,inf,inf", "13,30,0",
+                                    "13,30", "13,30,60,90"])
+def test_curate_degenerate_scales_exit_1(tmp_path, capsys, scales):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "v.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    assert run(["curate", "--in", str(src), "--out", str(tmp_path / "out"),
+                f"--scales={scales}"]) == 1
+    assert "scales must be 3 finite targets > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_curate_bad_later_file_writes_nothing(tmp_path, capsys):
     src = tmp_path / "in"
     src.mkdir()
@@ -310,6 +323,10 @@ def test_eval_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     for text in ("dims differ", "square", "non-finite", "alpha"):
         assert text in err
+    for alpha in ("nan", "inf"):
+        assert run_eval("t.hta", "--dsl", "--alpha", alpha) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: alpha must be finite and positive, got {alpha}\n"
 
 
 def test_selftest_command(capsys):
@@ -330,4 +347,31 @@ def test_importing_cli_loads_neither_selftest_nor_oracles():
     code = "import sys, hta.cli; print(*sys.modules)"
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True).stdout.split()
-    assert "hta.cli" in loaded and not {"hta.selftest", "hta.oracles"} & set(loaded)
+    assert "hta.cli" in loaded
+    assert not {"hta.selftest", "hta.oracles", "scipy", "urllib.request",
+                "http.client"} & set(loaded)
+
+
+def test_verbs_without_gelu_never_load_scipy(tmp_path):
+    write_tensor(tmp_path / "e.hta", np.eye(4))
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "v.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    emb = str(tmp_path / "e.hta")
+    verbs = [["mask", "dump", "--layout", "4,4,2,1,2", "--family", "gst"],
+             ["eval", "--video-emb", emb, "--text-emb", emb, "--dsl"],
+             ["curate", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
+              "--summarizer", "fallback"],
+             ["selftest"]]
+    # one process runs the verbs in turn and reports, after each, its exit
+    # code and whether scipy has been loaded so far
+    code = ("import contextlib, io, json, sys\n"
+            "from hta.cli import run\n"
+            "report = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        report.append([argv[0], run(argv), 'scipy' in sys.modules])\n"
+            "print(json.dumps(report))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(verbs)],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[argv[0], 0, False] for argv in verbs]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -127,6 +128,10 @@ def test_extract_mean_durations_on_exponential_corpus():
 def test_extract_empty_errors():
     with pytest.raises(ValueError, match="sentences"):
         extract_clips("v", [])
+    sents = [TranscriptSentence("a.", 0.0, 10.0)]
+    for scales in ((13.0, 30.0), (13.0, 30.0, 60.0, 90.0), (13.0, math.nan, 60.0)):
+        with pytest.raises(ValueError, match="scales must be 3 finite targets"):
+            extract_clips("v", sents, scales)
 
 
 # -- caption frame schedule -----------------------------------------------

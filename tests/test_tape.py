@@ -182,6 +182,18 @@ def test_backward_nonscalar_root_rejected():
         t.backward(x)
 
 
+def test_gelu_is_scipy_erf_gelu_bitwise():
+    # a numpy port of erf differs from scipy's in the last bit on some inputs
+    from scipy.special import erf
+    x = np.concatenate([np.random.default_rng(9).normal(scale=3.0, size=10_000),
+                        np.linspace(-40.0, 40.0, 801),
+                        [-1e300, -1e8, -1e-300, 0.0, 1e-300, 1e8, 1e300]])
+    t = Tape()
+    got = t.value(t.gelu(t.leaf(x)))
+    want = x * (0.5 * (1.0 + erf(x / math.sqrt(2.0))))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_backward_bitwise_deterministic():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(4, 4))
