@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -161,6 +162,7 @@ def cmd_curate(args) -> int:
     endpoint = "" if args.summarizer == "fallback" else args.summarizer
     spec = datapipe.SummarizerSpec(endpoint=endpoint)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
+    os.listdir(in_dir)      # FileNotFoundError or NotADirectoryError: exit 2
     outputs, all_clips = [], []
     for path in sorted(in_dir.glob("*.jsonl")):
         records = []
@@ -272,3 +274,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

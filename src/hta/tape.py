@@ -1,9 +1,11 @@
 """Dense float64 tensors plus a minimal tape-based reverse-mode autodiff engine.
 
-Values on the tape are plain numpy float64 arrays. Ops append nodes and return
-integer node ids; each node remembers its parents together with a vjp closure.
-Gradient accumulation walks the tape strictly in reverse id order, so two
-backward passes over the same tape are bitwise identical.
+Values are plain numpy float64 arrays. Every op returns a `Node`, an integer
+node id that carries its value; the tape holds only the graph: each node's
+parent ids together with their vjp closures. A value lives as long as a handle
+to it or a closure that saved it, so a training step keeps only what backward
+reads. Gradient accumulation walks the tape strictly in reverse id order, so
+two backward passes over the same tape are bitwise identical.
 """
 
 from __future__ import annotations
@@ -96,62 +98,69 @@ def layer_norm_value(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return xhat * gain + bias, xhat, inv
 
 
+class Node(int):
+    """A node id (usable as an index or dict key) carrying the node's value."""
+
+    def __new__(cls, nid: int, value: np.ndarray):
+        node = super().__new__(cls, nid)
+        node.value = value
+        return node
+
+
 class Tape:
     """Computation tape. One tape per training step; not thread-shared."""
 
     def __init__(self):
-        self._vals: list[np.ndarray] = []
         self._parents: list[list] = []   # list of (parent_id, vjp closure)
         self._track: list[bool] = []     # participates in gradient flow
 
     # -- node plumbing ----------------------------------------------------
 
-    def _push(self, value: np.ndarray, parents: list) -> int:
-        self._vals.append(value)
-        tracked = [(p, fn) for p, fn in parents if self._track[p]]
+    def _push(self, value: np.ndarray, parents: list) -> Node:
+        # plain ids: a vjp list must not keep its parents' values alive
+        tracked = [(int(p), fn) for p, fn in parents if self._track[p]]
         self._parents.append(tracked)
         self._track.append(bool(tracked))
-        return len(self._vals) - 1
+        return Node(len(self._track) - 1, value)
 
-    def value(self, nid: int) -> np.ndarray:
-        return self._vals[nid]
+    def value(self, node: Node) -> np.ndarray:
+        return node.value
 
-    def leaf(self, value, requires_grad: bool = True) -> int:
-        self._vals.append(np.asarray(value, dtype=np.float64))
-        self._parents.append([])
-        self._track.append(requires_grad)
-        return len(self._vals) - 1
+    def leaf(self, value, requires_grad: bool = True) -> Node:
+        node = self._push(np.asarray(value, dtype=np.float64), [])
+        self._track[node] = requires_grad
+        return node
 
-    def constant(self, value) -> int:
+    def constant(self, value) -> Node:
         return self.leaf(value, requires_grad=False)
 
     # -- arithmetic primitives --------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        av, bv = self._vals[a], self._vals[b]
+    def add(self, a: Node, b: Node) -> Node:
+        av, bv = a.value, b.value
         out = av + bv
         return self._push(out, [
             (a, lambda g, s=av.shape: _unbroadcast(g, s)),
             (b, lambda g, s=bv.shape: _unbroadcast(g, s)),
         ])
 
-    def mul(self, a: int, b: int) -> int:
-        av, bv = self._vals[a], self._vals[b]
+    def mul(self, a: Node, b: Node) -> Node:
+        av, bv = a.value, b.value
         out = av * bv
         return self._push(out, [
             (a, lambda g, o=bv, s=av.shape: _unbroadcast(g * o, s)),
             (b, lambda g, o=av, s=bv.shape: _unbroadcast(g * o, s)),
         ])
 
-    def scale(self, a: int, c: float) -> int:
-        av = self._vals[a]
+    def scale(self, a: Node, c: float) -> Node:
+        av = a.value
         return self._push(av * c, [(a, lambda g, c=c: g * c)])
 
-    def neg(self, a: int) -> int:
+    def neg(self, a: Node) -> Node:
         return self.scale(a, -1.0)
 
-    def matmul(self, a: int, b: int) -> int:
-        av, bv = self._vals[a], self._vals[b]
+    def matmul(self, a: Node, b: Node) -> Node:
+        av, bv = a.value, b.value
         _check_matmul(av, bv)
         out = av @ bv
         return self._push(out, [
@@ -159,21 +168,21 @@ class Tape:
             (b, lambda g, o=av: o.T @ g),
         ])
 
-    def linear(self, x: int, w: int, b: int) -> int:
+    def linear(self, x: Node, w: Node, b: Node) -> Node:
         """x @ w + b for x [n, k], w [k, m] and b [m], as one node."""
-        xv, wv = self._vals[x], self._vals[w]
+        xv, wv = x.value, w.value
         _check_matmul(xv, wv)
         out = xv @ wv
-        out += self._vals[b]
+        out += b.value
         return self._push(out, [
             (x, lambda g, o=wv: g @ o.T),
             (w, lambda g, o=xv: o.T @ g),
             (b, lambda g: g.sum(axis=0)),
         ])
 
-    def bmm(self, a: int, b: int) -> int:
+    def bmm(self, a: Node, b: Node) -> Node:
         """Batched matmul [..., m, k] x [..., k, n] with equal leading axes."""
-        av, bv = self._vals[a], self._vals[b]
+        av, bv = a.value, b.value
         if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
             raise ValueError(f"bmm shape mismatch: {av.shape} x {bv.shape}")
         return self._push(av @ bv, [
@@ -181,31 +190,31 @@ class Tape:
             (b, lambda g, o=av: o.swapaxes(-1, -2) @ g),
         ])
 
-    def transpose(self, a: int, axes=None) -> int:
+    def transpose(self, a: Node, axes=None) -> Node:
         """np.transpose; the default reverses the axes."""
         inv = None if axes is None else np.argsort(axes)
-        return self._push(np.transpose(self._vals[a], axes),
+        return self._push(np.transpose(a.value, axes),
                           [(a, lambda g, inv=inv: np.transpose(g, inv))])
 
-    def reshape(self, a: int, shape) -> int:
-        av = self._vals[a]
+    def reshape(self, a: Node, shape) -> Node:
+        av = a.value
         return self._push(av.reshape(shape),
                           [(a, lambda g, s=av.shape: g.reshape(s))])
 
-    def sum(self, a: int) -> int:
-        av = self._vals[a]
+    def sum(self, a: Node) -> Node:
+        av = a.value
         return self._push(np.asarray(av.sum()),
                           [(a, lambda g, s=av.shape: np.broadcast_to(g, s).copy())])
 
-    def exp(self, a: int) -> int:
-        out = np.exp(self._vals[a])
+    def exp(self, a: Node) -> Node:
+        out = np.exp(a.value)
         return self._push(out, [(a, lambda g, o=out: g * o)])
 
     # -- structural primitives ---------------------------------------------
 
-    def take_rows(self, a: int, key, axis: int = 0) -> int:
+    def take_rows(self, a: Node, key, axis: int = 0) -> Node:
         """a[key] along `axis`; key is an integer index array or a slice."""
-        av = self._vals[a]
+        av = a.value
         idx = (slice(None),) * axis + (key,)
 
         def vjp(g, idx=idx, shape=av.shape):
@@ -215,8 +224,8 @@ class Tape:
 
         return self._push(av[idx], [(a, vjp)])
 
-    def concat_rows(self, ids: list[int], axis: int = 0) -> int:
-        vals = [self._vals[i] for i in ids]
+    def concat_rows(self, ids: list[Node], axis: int = 0) -> Node:
+        vals = [i.value for i in ids]
         offs = np.cumsum([0] + [v.shape[axis] for v in vals])
         parents = []
         for k, nid in enumerate(ids):
@@ -224,16 +233,16 @@ class Tape:
             parents.append((nid, lambda g, idx=idx: g[idx]))
         return self._push(np.concatenate(vals, axis=axis), parents)
 
-    def broadcast_to(self, a: int, shape) -> int:
+    def broadcast_to(self, a: Node, shape) -> Node:
         """np.broadcast_to (a read-only view), e.g. [n, d] -> [b, n, d]."""
-        av = self._vals[a]
+        av = a.value
         return self._push(np.broadcast_to(av, shape),
                           [(a, lambda g, s=av.shape: _unbroadcast(g, s))])
 
     # -- fused nonlinear primitives ------------------------------------------
 
-    def layer_norm(self, x: int, gain: int, bias: int) -> int:
-        xv, gv, bv = self._vals[x], self._vals[gain], self._vals[bias]
+    def layer_norm(self, x: Node, gain: Node, bias: Node) -> Node:
+        xv, gv, bv = x.value, gain.value, bias.value
         out, xhat, inv = layer_norm_value(xv, gv, bv)
         d = xv.shape[-1]
 
@@ -249,30 +258,29 @@ class Tape:
             (bias, lambda g, s=bv.shape: _unbroadcast(g, s)),
         ])
 
-    def masked_softmax(self, logits: int, mask_entries: np.ndarray) -> int:
-        p = masked_softmax_value(self._vals[logits], mask_entries)
+    def masked_softmax(self, logits: Node, mask_entries: np.ndarray) -> Node:
+        p = masked_softmax_value(logits.value, mask_entries)
 
         def vjp(g, p=p):
             return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
         return self._push(p, [(logits, vjp)])
 
-    def gelu(self, a: int) -> int:
+    def gelu(self, a: Node) -> Node:
         # imported here, not at the top: scipy.special takes longer to import
         # than the rest of hta, and only the video tower's MLP needs it
         from scipy.special import erf
-        x = self._vals[a]
+        x = a.value
         phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        out = x * phi
-
-        def vjp(g, x=x, phi=phi):
+        if not self._track[a]:
+            return self._push(x * phi, [])
+        with np.errstate(over="ignore"):    # x * x = inf for |x| > 1e154
             pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-            return g * (phi + x * pdf)
+        deriv = phi + x * pdf               # the one array the vjp needs
+        return self._push(x * phi, [(a, lambda g, d=deriv: g * d)])
 
-        return self._push(out, [(a, vjp)])
-
-    def normalize_rows(self, a: int) -> int:
-        x = self._vals[a]
+    def normalize_rows(self, a: Node) -> Node:
+        x = a.value
         norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
         y = x / norm
 
@@ -281,9 +289,9 @@ class Tape:
 
         return self._push(y, [(a, vjp)])
 
-    def cross_entropy_diag(self, logits: int) -> int:
+    def cross_entropy_diag(self, logits: Node) -> Node:
         """Mean over rows of [logsumexp(row) - row diagonal entry]."""
-        z = self._vals[logits]
+        z = logits.value
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"expected square logits, got {z.shape}")
         n = z.shape[0]
@@ -300,17 +308,17 @@ class Tape:
 
     # -- reverse pass --------------------------------------------------------
 
-    def backward(self, root: int) -> dict[int, np.ndarray]:
+    def backward(self, root: Node) -> dict[int, np.ndarray]:
         """Gradients of a scalar root w.r.t. the tracked leaves it depends on.
 
         A non-leaf node's gradient is dropped as soon as its VJPs have run, so
         the pass holds only the gradients still in flight. The tape is left
         as it was: backward may run again on it.
         """
-        rv = self._vals[root]
+        rv = root.value
         if rv.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {rv.shape}")
-        grads = {root: np.ones_like(rv)} if self._track[root] else {}
+        grads = {int(root): np.ones_like(rv)} if self._track[root] else {}
         for nid in range(root, -1, -1):
             parents = self._parents[nid]
             if not parents:             # a leaf keeps its gradient

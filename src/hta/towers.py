@@ -106,8 +106,9 @@ def init_text_params(config: TextTowerConfig,
     }
 
 
-def register_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, int]:
-    return {name: tape.leaf(v, requires_grad=True) for name, v in params.items()}
+def register_params(tape: Tape, params: dict[str, np.ndarray],
+                    requires_grad: bool = True) -> dict[str, int]:
+    return {name: tape.leaf(v, requires_grad) for name, v in params.items()}
 
 
 def patchify(clip: np.ndarray, patch: int) -> np.ndarray:
@@ -270,12 +271,12 @@ def video_embedding(clip, params: dict[str, np.ndarray],
 def video_embeddings(clips, params: dict[str, np.ndarray],
                      config: VideoTowerConfig) -> np.ndarray:
     tape = Tape()
-    pid = register_params(tape, params)
+    pid = register_params(tape, params, requires_grad=False)   # records no vjps
     return tape.value(encode_video_batch(tape, clips, pid, config))
 
 
 def text_embedding(token_ids, params: dict[str, np.ndarray],
                    config: TextTowerConfig) -> np.ndarray:
     tape = Tape()
-    pid = register_params(tape, params)
+    pid = register_params(tape, params, requires_grad=False)   # records no vjps
     return tape.value(encode_text(tape, [token_ids], pid, config))[0]

@@ -96,6 +96,29 @@ def test_curate_empty_dir_exits_1(tmp_path, capsys):
     assert run(["curate", "--in", str(src), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("kind, code, err", [
+    ("missing", 2, "i/o error: [Errno 2] No such file or directory"),
+    ("file", 2, "i/o error: [Errno 20] Not a directory"),
+    ("empty", 1, "error: no transcripts found")], ids=("missing", "file", "empty"))
+def test_curate_input_must_be_a_directory(tmp_path, capsys, kind, code, err):
+    src = tmp_path / "in"
+    if kind == "file":
+        src.write_text("{}")
+    elif kind == "empty":
+        src.mkdir()
+    assert run(["curate", "--in", str(src), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "hta.cli", "curate", "--in",
+                           str(tmp_path / "missing"), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("i/o error:")
+
+
 @pytest.mark.parametrize("t1, fps", [(1e6, "0.1"), (1e300, "0.1"), (5.0, "inf"),
                                      (5.0, "1e308")])
 def test_curate_unbounded_caption_frames_exit_1(tmp_path, capsys, t1, fps):

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -188,10 +190,20 @@ def test_gelu_is_scipy_erf_gelu_bitwise():
     x = np.concatenate([np.random.default_rng(9).normal(scale=3.0, size=10_000),
                         np.linspace(-40.0, 40.0, 801),
                         [-1e300, -1e8, -1e-300, 0.0, 1e-300, 1e8, 1e300]])
-    t = Tape()
-    got = t.value(t.gelu(t.leaf(x)))
-    want = x * (0.5 * (1.0 + erf(x / math.sqrt(2.0))))
-    assert got.tobytes() == want.tobytes()
+    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    with np.errstate(over="ignore"):
+        deriv = phi + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+    # a tracked input also computes the derivative, without a warning
+    for tracked in (False, True):
+        t = Tape()
+        leaf = t.leaf(x, requires_grad=tracked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = t.gelu(leaf)
+            grads = t.backward(t.sum(out))
+        assert t.value(out).tobytes() == (x * phi).tobytes()
+        if tracked:
+            assert grads[leaf].tobytes() == deriv.tobytes()
 
 
 def test_backward_bitwise_deterministic():
@@ -223,18 +235,23 @@ def test_backward_returns_exactly_the_tracked_leaves():
     assert t.backward(t.sum(c)) == {}         # an untracked root has no gradients
 
 
-def test_backward_memory_holds_only_gradients_in_flight():
-    """At B = 32 on the benchmark layout, backward allocates about 6 MB when it
-    drops each non-leaf gradient after use; keeping all of them took 43 MB."""
+def _benchmark_step(b: int):
+    """Parameters, a batch of b pairs and the configs of the benchmark layout."""
     lay = TokenLayout(T=4, N=4, U=2, V=1, r=2, d=64)
     vcfg = VideoTowerConfig(layout=lay, L=4, heads=4, D=32, patch=4)
     tcfg = TextTowerConfig()
     rng = np.random.default_rng(8)
     params = init_video_params(vcfg, rng) | init_text_params(tcfg, rng)
     params["log_tau"] = np.asarray(math.log(0.07))
-    b = 32
     tokens = [[i % tcfg.vocab, (3 * i) % tcfg.vocab] for i in range(b)]
     batch = AlignmentBatch(list(rng.normal(size=(b, 4, 8, 8, 3))), tokens, tokens)
+    return params, batch, vcfg, tcfg
+
+
+def test_backward_memory_holds_only_gradients_in_flight():
+    """At B = 32 on the benchmark layout, backward allocates about 6 MB when it
+    drops each non-leaf gradient after use; keeping all of them took 43 MB."""
+    params, batch, vcfg, tcfg = _benchmark_step(32)
     t = Tape()
     pid = register_params(t, params)
     root = total_loss_node(t, batch, pid, vcfg, tcfg)
@@ -246,6 +263,38 @@ def test_backward_memory_holds_only_gradients_in_flight():
         tracemalloc.stop()
     assert peak < 15 << 20, f"peak {peak} bytes"
     assert sorted(grads) == sorted(pid.values())
+
+
+def test_forward_holds_only_what_backward_reads():
+    """At B = 32 on the benchmark layout the forward holds 26 MiB once it has
+    returned: the logits, the p.v products before the head merge, the output
+    projections and most residual sums die with their handles. A tape that
+    kept every value held 45 MiB."""
+    import scipy.special  # noqa: F401  (its import is not the forward's memory)
+    params, batch, vcfg, tcfg = _benchmark_step(32)
+    tracemalloc.start()
+    try:
+        t = Tape()
+        root = total_loss_node(t, batch, register_params(t, params), vcfg, tcfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 32 << 20, f"held {held} bytes"
+
+
+def test_values_live_only_while_a_handle_or_a_vjp_holds_them():
+    t = Tape()
+    x = t.leaf(np.arange(4.0))
+    y = t.add(x, x)        # add's vjps keep only shapes
+    e = t.exp(y)           # exp's vjp keeps its output
+    root = t.sum(e)
+    y_ref, e_ref = weakref.ref(y.value), weakref.ref(e.value)
+    del y, e
+    assert y_ref() is None
+    assert e_ref() is not None
+    assert np.array_equal(t.backward(root)[x], 2.0 * np.exp(2.0 * np.arange(4.0)))
+    del t
+    assert e_ref() is None
 
 
 # -- per-op finite-difference property -------------------------------------

@@ -243,6 +243,24 @@ def test_encode_video_batch_matches_single():
     assert np.allclose(batch, singles, atol=1e-12)
 
 
+@pytest.mark.parametrize("b", [1, 8])
+def test_inference_equals_the_tracked_forward_bitwise(b):
+    # video_embeddings and text_embedding record no vjps, since their
+    # parameters are constants; that must not change a bit of the result
+    rng = np.random.default_rng(22)
+    params = fig3_params(randomize_slt=True) | init_text_params(TCFG, rng)
+    clips = [random_clip(rng) for _ in range(b)]
+    tokens = [rng.integers(0, TCFG.vocab, size=1 + i % TCFG.context).tolist()
+              for i in range(b)]
+    tape = Tape()
+    pid = register_params(tape, params)
+    want = tape.value(encode_video_batch(tape, clips, pid, CFG))
+    assert video_embeddings(clips, params, CFG).tobytes() == want.tobytes()
+    for ids in tokens:
+        want = tape.value(encode_text(tape, [ids], pid, TCFG))[0]
+        assert text_embedding(ids, params, TCFG).tobytes() == want.tobytes()
+
+
 def test_static_clip_frame_symmetry_at_init():
     # zero-init SlT + zero temporal embeddings: identical frames stay
     # identical through every layer
