@@ -174,6 +174,27 @@ class AdamW:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
+def _train_step(batch: AlignmentBatch, params: dict[str, np.ndarray], opt: AdamW,
+                vcfg: VideoTowerConfig, tcfg: TextTowerConfig, lr: float,
+                step: int) -> float:
+    """One optimizer step on `batch`; returns its loss. The tape and the
+    gradients die with the call, so the next step starts without them."""
+    tape = Tape()
+    pid = register_params(tape, params)
+    loss_node = total_loss_node(tape, batch, pid, vcfg, tcfg)
+    loss = float(tape.value(loss_node))
+    if not math.isfinite(loss):
+        raise DivergenceError(step, loss)
+    node_grads = tape.backward(loss_node)
+    # copy: backward may hand out views, and clipping mutates in place
+    grads = {name: np.array(node_grads[nid], dtype=np.float64)
+             for name, nid in pid.items() if nid in node_grads}
+    clip_by_global_norm(grads, opt.config.clip_norm)
+    opt.step(params, grads, lr)
+    params["log_tau"] = np.maximum(params["log_tau"], LOG_TAU_FLOOR)
+    return loss
+
+
 def train(dataset: AlignmentBatch, params: dict[str, np.ndarray],
           vcfg: VideoTowerConfig, tcfg: TextTowerConfig, config: TrainConfig,
           seed: int = 0):
@@ -196,20 +217,8 @@ def train(dataset: AlignmentBatch, params: dict[str, np.ndarray],
         batch = AlignmentBatch([dataset.clips[i] for i in idx],
                                [dataset.subtitles[i] for i in idx],
                                [dataset.captions[i] for i in idx])
+        lr = cosine_lr(step, config)
         with np.errstate(over="ignore", invalid="ignore"):
-            tape = Tape()
-            pid = register_params(tape, params)
-            loss_node = total_loss_node(tape, batch, pid, vcfg, tcfg)
-            loss = float(tape.value(loss_node))
-            if not math.isfinite(loss):
-                raise DivergenceError(step, loss)
-            node_grads = tape.backward(loss_node)
-            # copy: backward may hand out views, and clipping mutates in place
-            grads = {name: np.array(node_grads[nid], dtype=np.float64)
-                     for name, nid in pid.items() if nid in node_grads}
-            clip_by_global_norm(grads, config.clip_norm)
-            lr = cosine_lr(step, config)
-            opt.step(params, grads, lr)
-            params["log_tau"] = np.maximum(params["log_tau"], LOG_TAU_FLOOR)
+            loss = _train_step(batch, params, opt, vcfg, tcfg, lr, step)
             trace.append((step, loss, lr, float(np.exp(params["log_tau"]))))
     return trace

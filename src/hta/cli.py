@@ -112,8 +112,9 @@ def cmd_train(args) -> int:
     subtitles, captions = _read_texts(data / "texts.json", args.vocab)
     dataset = AlignmentBatch(list(clips), subtitles, captions)
 
-    t, h, _w, _ = clips.shape[1:]
-    n = (h // args.patch) * (clips.shape[3] // args.patch)
+    t, h, w, _ = clips.shape[1:]
+    # N exists only for a patch side >= 1; VideoTowerConfig rejects the others
+    n = (h // args.patch) * (w // args.patch) if args.patch >= 1 else 1
     layout = TokenLayout(T=t, N=n, U=args.hierarchies, V=args.mst_per_level,
                          r=args.temporal_scale, d=args.width)
     vcfg = VideoTowerConfig(layout=layout, L=args.layers, heads=args.heads,

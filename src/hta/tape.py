@@ -217,9 +217,12 @@ class Tape:
         av = a.value
         idx = (slice(None),) * axis + (key,)
 
-        def vjp(g, idx=idx, shape=av.shape):
+        def vjp(g, idx=idx, shape=av.shape, is_slice=isinstance(key, slice)):
             out = np.zeros(shape)
-            np.add.at(out, idx, g)
+            if is_slice:
+                out[idx] += g
+            else:                       # an index array may repeat rows
+                np.add.at(out, idx, g)
             return out
 
         return self._push(av[idx], [(a, vjp)])

@@ -17,6 +17,12 @@ batch axis: GST attends within each clip's S tokens under one shared S x S
 mask, and SlT attends within each (clip, spatial position) group of T patch
 tokens, which is exactly the SlT mask predicate, so it needs no mask at all.
 Single clips are the B=1 case of the same code path.
+
+The embedding reads only the final [CLS] rows, so the last GST block takes
+queries from position 0 alone: its attention, output projection, residual
+and MLP run on B rows, while every token of the last SlT output still serves
+as a key and a value. Inference registers only the tower's own parameters
+(`tower_params`).
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ class VideoTowerConfig:
     patch: int = 4              # patch side P; frames are H x W x 3, H,W % P == 0
 
     def __post_init__(self):
+        if self.heads < 1 or self.patch < 1:
+            raise ValueError(f"heads and patch must be >= 1, got heads={self.heads}, "
+                             f"patch={self.patch}")
         if self.layout.d % self.heads != 0:
             raise ValueError(f"d={self.layout.d} not divisible by heads={self.heads}")
         if self.L < 1 or self.D < 1:
@@ -106,6 +115,19 @@ def init_text_params(config: TextTowerConfig,
     }
 
 
+# The text tower's parameter names. Every other name but the loss
+# temperature "log_tau" is a video tower parameter.
+TEXT_PARAMS = ("text.emb", "text.pos", "text.proj.w")
+
+
+def tower_params(params: dict[str, np.ndarray], tower: str) -> dict[str, np.ndarray]:
+    """The parameters of one tower, "video" or "text", out of `params`."""
+    if tower == "text":
+        return {name: params[name] for name in TEXT_PARAMS}
+    return {name: v for name, v in params.items()
+            if name not in TEXT_PARAMS and name != "log_tau"}
+
+
 def register_params(tape: Tape, params: dict[str, np.ndarray],
                     requires_grad: bool = True) -> dict[str, int]:
     return {name: tape.leaf(v, requires_grad) for name, v in params.items()}
@@ -151,27 +173,36 @@ def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
 
 
 def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
-               mask_entries: np.ndarray, heads: int, stride: int = 1) -> int:
+               mask_entries: np.ndarray, heads: int, stride: int = 1,
+               rows=None) -> int:
     """Multi-head masked self-attention over rows of x (post-LN input).
 
     The rows form blocks of s * stride rows, s = len(mask_entries); within a
     block, rows i and j share a sequence iff i = j mod stride. Each sequence
-    becomes one entry of a [blocks, stride, heads] batch of s x s attentions.
+    becomes one entry of a [blocks, stride, heads] batch of attentions. Keys
+    and values come from all s positions of a sequence, queries only from the
+    positions `rows` (a take_rows key; None: all s), and the output has one
+    row per query, in the order of x.
     """
-    rows, d = tape.value(x).shape
+    n, d = tape.value(x).shape
     s, dh = mask_entries.shape[0], d // heads
-    split = (rows // (s * stride), s, stride, heads, dh)
+    blocks = n // (s * stride)
+    x_q = x
+    if rows is not None:
+        mask_entries = mask_entries[rows]
+        x_q = tape.reshape(tape.take_rows(tape.reshape(x, (blocks, s, stride * d)),
+                                          rows, axis=1), (-1, d))
 
-    def project(w: str, axes) -> int:
-        y = tape.linear(x, pid[f"{pre}.w{w}"], pid[f"{pre}.b{w}"])
-        return tape.transpose(tape.reshape(y, split), axes)
+    def project(src: int, w: str, axes) -> int:
+        y = tape.linear(src, pid[f"{pre}.w{w}"], pid[f"{pre}.b{w}"])
+        return tape.transpose(tape.reshape(y, (blocks, -1, stride, heads, dh)), axes)
 
-    q = project("q", (0, 2, 3, 1, 4))        # [blocks, stride, heads, s, dh]
-    kt = project("k", (0, 2, 3, 4, 1))       # [blocks, stride, heads, dh, s]
-    v = project("v", (0, 2, 3, 1, 4))
+    q = project(x_q, "q", (0, 2, 3, 1, 4))   # [blocks, stride, heads, q, dh]
+    kt = project(x, "k", (0, 2, 3, 4, 1))      # [blocks, stride, heads, dh, s]
+    v = project(x, "v", (0, 2, 3, 1, 4))       # [blocks, stride, heads, s, dh]
     logits = tape.scale(tape.bmm(q, kt), 1.0 / math.sqrt(dh))
     out = tape.bmm(tape.masked_softmax(logits, mask_entries), v)
-    merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (rows, d))
+    merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (-1, d))
     return tape.linear(merged, pid[f"{pre}.wo"], pid[f"{pre}.bo"])
 
 
@@ -204,15 +235,20 @@ def slt_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
 
 
 def gst_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
-              config: VideoTowerConfig) -> int:
+              config: VideoTowerConfig, rows=None) -> int:
     """Global spatio-temporal attention within each clip, then MLP, each with
-    a residual."""
+    a residual. Only the positions `rows` of each clip (a take_rows key; None:
+    all S) are computed, and the output has one row per clip and position;
+    every position still serves as a key and a value."""
     lay = config.layout
-    _batch_size(tape, z, lay)
+    b = _batch_size(tape, z, lay)
     pre = f"layer{layer}.gst"
-    mask = _gst_entries(lay)
     x = tape.layer_norm(z, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
-    z = tape.add(_attention(tape, x, pre, pid, mask, config.heads), z)
+    if rows is not None:
+        z = tape.reshape(tape.take_rows(tape.reshape(z, (b, lay.seq_len, lay.d)),
+                                        rows, axis=1), (-1, lay.d))
+    z = tape.add(_attention(tape, x, pre, pid, _gst_entries(lay), config.heads,
+                            rows=rows), z)
     m = f"layer{layer}.mlp"
     h = tape.gelu(tape.linear(z, pid[f"{m}.w1"], pid[f"{m}.b1"]))
     mlp = tape.linear(h, pid[f"{m}.w2"], pid[f"{m}.b2"])
@@ -234,9 +270,11 @@ def encode_video_batch(tape: Tape, clips, pid: dict[str, int],
     z = tape.reshape(tape.concat_rows([special, patches], axis=1), (-1, lay.d))
     for l in range(config.L):
         z = slt_block(tape, z, l, pid, config)
-        z = gst_block(tape, z, l, pid, config)
-    cls_rows = tape.take_rows(z, np.arange(b) * lay.seq_len)
-    return tape.normalize_rows(tape.matmul(cls_rows, pid["head.w"]))
+        # the embedding reads only the final [CLS] rows, so the last GST
+        # block computes just those: z ends as [B, d]
+        last = l == config.L - 1
+        z = gst_block(tape, z, l, pid, config, rows=slice(0, 1) if last else None)
+    return tape.normalize_rows(tape.matmul(z, pid["head.w"]))
 
 
 def encode_text(tape: Tape, token_lists, pid: dict[str, int],
@@ -271,12 +309,14 @@ def video_embedding(clip, params: dict[str, np.ndarray],
 def video_embeddings(clips, params: dict[str, np.ndarray],
                      config: VideoTowerConfig) -> np.ndarray:
     tape = Tape()
-    pid = register_params(tape, params, requires_grad=False)   # records no vjps
+    pid = register_params(tape, tower_params(params, "video"),
+                          requires_grad=False)   # records no vjps
     return tape.value(encode_video_batch(tape, clips, pid, config))
 
 
 def text_embedding(token_ids, params: dict[str, np.ndarray],
                    config: TextTowerConfig) -> np.ndarray:
     tape = Tape()
-    pid = register_params(tape, params, requires_grad=False)   # records no vjps
+    pid = register_params(tape, tower_params(params, "text"),
+                          requires_grad=False)   # records no vjps
     return tape.value(encode_text(tape, [token_ids], pid, config))[0]

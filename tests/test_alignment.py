@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from hta import alignment
 from hta.alignment import (AdamW, AlignmentBatch, DivergenceError, TrainConfig,
                            clip_by_global_norm, cosine_lr, info_nce,
                            info_nce_node, total_loss, train)
@@ -209,3 +211,24 @@ def test_log_tau_floor_enforced():
     trace = train(batch, params, VCFG, TCFG, cfg, seed=0)
     assert all(tau >= math.exp(-5.0) - 1e-12 for _, _, _, tau in trace)
     assert float(params["log_tau"]) >= -5.0
+
+
+def test_a_step_releases_its_gradients_before_the_next_forward(monkeypatch):
+    # a step's tape and gradients (about 4 MiB at B = 32) must not stay alive
+    # through the next step's forward and backward
+    params, batch = tiny_setup(seed=8)
+    refs, clip, loss_node = [], alignment.clip_by_global_norm, alignment.total_loss_node
+
+    def watched_clip(grads, max_norm):
+        refs.extend(weakref.ref(g) for g in grads.values())
+        return clip(grads, max_norm)
+
+    def watched_loss(*args):
+        alive = [r for r in refs if r() is not None]
+        assert not alive, f"{len(alive)} gradients of the last step are alive"
+        return loss_node(*args)
+
+    monkeypatch.setattr(alignment, "clip_by_global_norm", watched_clip)
+    monkeypatch.setattr(alignment, "total_loss_node", watched_loss)
+    train(batch, params, VCFG, TCFG, TrainConfig(steps=3, batch_size=3))
+    assert refs

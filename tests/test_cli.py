@@ -251,6 +251,8 @@ def small_dataset(data):
     ("--beta2 1", "beta2"), ("--weight-decay -0.5", "weight_decay"),
     ("--init-tau 5e-324", "init_tau must be >= e^-5"),
     ("--weight-decay 1e300 --steps 3", "non-finite loss nan at step 1"),
+    ("--patch 0", "patch must be >= 1"), ("--patch -4", "patch must be >= 1"),
+    ("--heads 0", "heads and patch"), ("--heads -4", "heads and patch"),
 ])
 def test_train_bad_config_exits_1_before_writing(tmp_path, capsys, flags, message):
     model = small_dataset(tmp_path / "data")

@@ -266,8 +266,8 @@ def test_backward_memory_holds_only_gradients_in_flight():
 
 
 def test_forward_holds_only_what_backward_reads():
-    """At B = 32 on the benchmark layout the forward holds 26 MiB once it has
-    returned: the logits, the p.v products before the head merge, the output
+    """At B = 32 on the benchmark layout the forward holds 23 MiB once it has
+    returned (26 MiB when the last GST block computed every row): the logits, the p.v products before the head merge, the output
     projections and most residual sums die with their handles. A tape that
     kept every value held 45 MiB."""
     import scipy.special  # noqa: F401  (its import is not the forward's memory)

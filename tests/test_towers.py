@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from conftest import rel_err
+from hta import towers
+from hta.alignment import AlignmentBatch, total_loss_node
 from hta.masks import TokenLayout, gst_stacked_mask, slt_mask
 from hta.selftest import head_weights
 from hta.tape import Tape, layer_norm_value
-from hta.towers import (TextTowerConfig, VideoTowerConfig, embed_frames_batch,
-                        encode_text, encode_video_batch, gst_block,
-                        init_text_params, init_video_params, patchify,
-                        register_params, slt_block, text_embedding,
+from hta.towers import (TEXT_PARAMS, TextTowerConfig, VideoTowerConfig,
+                        embed_frames_batch, encode_text, encode_video_batch,
+                        gst_block, init_text_params, init_video_params, patchify,
+                        register_params, slt_block, text_embedding, tower_params,
                         video_embedding, video_embeddings)
 
 FIG3 = TokenLayout(T=4, N=4, U=2, V=1, r=2, d=8)
@@ -17,14 +21,22 @@ CFG = VideoTowerConfig(layout=FIG3, L=2, heads=2, D=4, patch=4)
 TCFG = TextTowerConfig(vocab=16, context=6, D=4, width=4)
 
 
+def randomized_slt_params(cfg, rng):
+    """Init params with non-zero SlT output projections and temporal
+    embeddings, so no block is an identity."""
+    d = cfg.layout.d
+    params = init_video_params(cfg, rng)
+    for l in range(cfg.L):
+        params[f"layer{l}.slt.wo"] = rng.normal(0.0, 0.02, (d, d))
+    params["pos.temporal"] = rng.normal(0.0, 0.02, params["pos.temporal"].shape)
+    return params
+
+
 def fig3_params(seed=0, randomize_slt=False):
     rng = np.random.default_rng(seed)
-    p = init_video_params(CFG, rng)
     if randomize_slt:
-        for l in range(CFG.L):
-            p[f"layer{l}.slt.wo"] = rng.normal(0.0, 0.02, (8, 8))
-        p["pos.temporal"] = rng.normal(0.0, 0.02, p["pos.temporal"].shape)
-    return p
+        return randomized_slt_params(CFG, rng)
+    return init_video_params(CFG, rng)
 
 
 def random_clip(rng):
@@ -36,6 +48,18 @@ def test_config_validation():
         VideoTowerConfig(layout=TokenLayout(T=2, N=1, U=0, V=1, r=2, d=6), heads=4)
     with pytest.raises(ValueError):
         VideoTowerConfig(layout=FIG3, L=0, heads=2)
+    for heads, patch in ((0, 4), (-4, 4), (2, 0), (2, -4)):
+        with pytest.raises(ValueError, match="heads and patch must be >= 1"):
+            VideoTowerConfig(layout=FIG3, heads=heads, patch=patch)
+
+
+def test_tower_params_split_a_checkpoint_by_tower():
+    video = init_video_params(CFG, np.random.default_rng(0))
+    text = init_text_params(TCFG, np.random.default_rng(1))
+    both = video | text | {"log_tau": np.asarray(-2.0)}
+    assert set(text) == set(TEXT_PARAMS)
+    assert tower_params(both, "video").keys() == video.keys()
+    assert tower_params(both, "text").keys() == text.keys()
 
 
 # -- embed_frames_batch---------------------------------------------------
@@ -218,6 +242,95 @@ def test_blocks_match_per_clip_recomputation(lay, b):
         hid = hid * 0.5 * (1.0 + erf(hid / np.sqrt(2.0)))
         want = y + hid @ params["layer0.mlp.w2"] + params["layer0.mlp.b2"]
         assert np.abs(gst[c * s:(c + 1) * s] - want).max() <= 1e-12
+
+
+# -- query rows: the last GST block computes only the [CLS] rows ---------------
+
+# The benchmark's layout (S = 19) and a long-clip layout (T = 16 frames of
+# 16 x 16 patches, S = 260); the long one runs a narrower, shallower tower to
+# keep a B = 32 step small.
+BENCH_CFG = VideoTowerConfig(layout=TokenLayout(T=4, N=4, U=2, V=1, r=2, d=64),
+                             L=4, heads=4, D=32, patch=4)
+LONG_CFG = VideoTowerConfig(layout=TokenLayout(T=16, N=16, U=3, V=1, r=2, d=16),
+                            L=2, heads=2, D=8, patch=4)
+
+
+def clips_for(cfg, rng, b):
+    side = 4 * int(math.isqrt(cfg.layout.N))     # square frames, patch 4
+    return rng.normal(size=(b, cfg.layout.T, side, side, 3))
+
+
+@pytest.mark.parametrize("b", [1, 32])
+@pytest.mark.parametrize("cfg", [BENCH_CFG, LONG_CFG], ids=["S19", "S260"])
+def test_gst_query_rows_equal_the_full_block_rows(cfg, b):
+    lay = cfg.layout
+    rng = np.random.default_rng(40 + b)
+    params = randomized_slt_params(cfg, rng)
+    z = rng.normal(size=(b * lay.seq_len, lay.d))
+    tape = Tape()
+    pid = register_params(tape, params, requires_grad=False)
+    full = tape.value(gst_block(tape, tape.constant(z), cfg.L - 1, pid, cfg))
+    full = full.reshape(b, lay.seq_len, lay.d)
+    for rows in (slice(0, 1), slice(1, 1 + lay.num_mst), np.array([5, 0, 3])):
+        got = tape.value(gst_block(tape, tape.constant(z), cfg.L - 1, pid, cfg, rows))
+        want = full[:, rows].reshape(-1, lay.d)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def full_last_layer(monkeypatch):
+    """Make encode_video_batch run every GST block on all rows and pick the
+    query rows from the full output: the reference for the [CLS]-only path."""
+    full_block = towers.gst_block
+
+    def block(tape, z, layer, pid, config, rows=None):
+        out = full_block(tape, z, layer, pid, config)
+        if rows is None:
+            return out
+        lay = config.layout
+        seqs = tape.reshape(out, (-1, lay.seq_len, lay.d))
+        return tape.reshape(tape.take_rows(seqs, rows, axis=1), (-1, lay.d))
+
+    monkeypatch.setattr(towers, "gst_block", block)
+
+
+@pytest.mark.parametrize("cfg", [BENCH_CFG, LONG_CFG], ids=["S19", "S260"])
+def test_cls_only_last_layer_matches_the_full_one_in_a_training_step(
+        cfg, monkeypatch):
+    rng = np.random.default_rng(7)
+    tcfg = TextTowerConfig(vocab=16, context=6, D=cfg.D, width=4)
+    params = randomized_slt_params(cfg, rng) | init_text_params(tcfg, rng)
+    params["log_tau"] = np.asarray(np.log(0.07))
+    b = 32
+    batch = AlignmentBatch(list(clips_for(cfg, rng, b)),
+                           [[i % 16] for i in range(b)],
+                           [[(3 * i + 1) % 16, i % 5] for i in range(b)])
+
+    def step():
+        tape = Tape()
+        pid = register_params(tape, params)
+        emb = tape.value(encode_video_batch(tape, batch.clips, pid, cfg))
+        loss = total_loss_node(tape, batch, pid, cfg, tcfg)
+        grads = tape.backward(loss)
+        return emb, loss.value, {name: grads[nid] for name, nid in pid.items()}
+
+    emb, loss, grads = step()
+    full_last_layer(monkeypatch)
+    want_emb, want_loss, want_grads = step()
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(emb, want_emb) and close(loss, want_loss)
+    assert grads.keys() == want_grads.keys()
+    # a key bias adds one constant to a whole softmax row, so its exact
+    # gradient is 0: both paths hold only rounding noise there
+    scale = max(np.abs(g).max() for g in want_grads.values())
+    for name, g in want_grads.items():
+        if name.endswith(".bk"):
+            assert np.abs(grads[name]).max() <= 1e-12 * scale, name
+        else:
+            assert close(grads[name], g), name
 
 
 # -- encode_video / encode_text ----------------------------------------------
