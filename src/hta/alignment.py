@@ -8,19 +8,14 @@ temperature kept positive by optimizing its log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LOG_TAU_FLOOR, DivergenceError, TrainConfig
 from .tape import Tape
 from .towers import (TextTowerConfig, VideoTowerConfig, encode_text,
                      encode_video_batch, register_params)
-
-
-class DivergenceError(RuntimeError):
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss} at step {step}")
-        self.step = step
 
 
 @dataclass
@@ -37,42 +32,6 @@ class AlignmentBatch:
 
     def __len__(self):
         return len(self.clips)
-
-
-LOG_TAU_FLOOR = -5.0   # tau never drops below e^-5
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    steps: int = 200
-    base_lr: float = 2e-5
-    final_lr: float = 4e-8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.02
-    clip_norm: float = 10.0
-    init_tau: float = 0.01
-    batch_size: int = 16
-
-    def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be >= 1")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        # zero is allowed so a frozen run is expressible
-        if not (0.0 <= self.final_lr <= self.base_lr):
-            raise ValueError("need 0 <= final_lr <= base_lr")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.init_tau < math.exp(LOG_TAU_FLOOR):
-            raise ValueError(f"init_tau must be >= e^{LOG_TAU_FLOOR:g}, the floor "
-                             f"on tau, got {self.init_tau}")
 
 
 def info_nce(v: np.ndarray, t: np.ndarray, tau: float) -> float:

@@ -4,13 +4,16 @@ Exit codes: 0 success, 1 contract/config error or a diverged training run,
 2 I/O or transport error.
 Every run that writes an artifact also writes a reproducibility manifest
 (<out>.manifest.json) with the config hash, seed, and package version.
+
+Importing this module loads only the dispatcher (argparse, json, numpy and
+the small `config` module). Each verb imports the hta modules it runs when it
+is dispatched, so a process compiles and loads no code its verb never calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -19,15 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import datapipe, retrieval
-from .alignment import AlignmentBatch, DivergenceError, TrainConfig, train
-from .masks import TokenLayout, gst_stacked_mask, mask_to_csv, mask_to_pgm, slt_mask
-from .tensor_io import read_tensor, save_checkpoint
-from .towers import TextTowerConfig, VideoTowerConfig, init_text_params, \
-    init_video_params
+from .config import DivergenceError, TrainConfig
 
 
 def _write_manifest(out_path, args_dict: dict, seed: int) -> None:
+    import hashlib
     args_dict = {k: v for k, v in args_dict.items() if not callable(v)}
     blob = json.dumps(args_dict, sort_keys=True, default=str)
     manifest = {
@@ -39,16 +38,12 @@ def _write_manifest(out_path, args_dict: dict, seed: int) -> None:
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _parse_layout(text: str) -> TokenLayout:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError(f"--layout wants T,N,U,V,r, got {text!r}")
-    t, n, u, v, r = parts
-    return TokenLayout(T=t, N=n, U=u, V=v, r=r)
-
-
 def cmd_mask(args) -> int:
-    layout = _parse_layout(args.layout)
+    from .masks import TokenLayout, gst_stacked_mask, mask_to_csv, mask_to_pgm, slt_mask
+    parts = [int(x) for x in args.layout.split(",")]
+    if len(parts) != 5:
+        raise ValueError(f"--layout wants T,N,U,V,r, got {args.layout!r}")
+    layout = TokenLayout(*parts)
     mask = slt_mask(layout) if args.family == "slt" else gst_stacked_mask(layout)
     text = mask_to_csv(mask) if args.format == "csv" else mask_to_pgm(mask)
     if args.out:
@@ -60,20 +55,27 @@ def cmd_mask(args) -> int:
 
 
 def _read_config_file(path) -> dict:
-    """Flat key=value config file; '#' starts a comment."""
+    """Flat key=value config file; '#' starts a comment. A non-blank line
+    without '=', a key without a value and a repeated key raise ValueError."""
     values = {}
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key, eq, val = (part.strip() for part in line.partition("="))
+        problem = ("is not key = value" if not (eq and key) else
+                   "has no value" if not val else
+                   "is repeated" if key in values else None)
+        if problem:
+            raise ValueError(f"{path} line {n}: {key!r} {problem}")
+        values[key] = val
     return values
 
 
-def _read_texts(path, vocab: int) -> tuple[list, list]:
-    """texts.json: {"subtitles": [[id, ...], ...], "captions": [...]}, token
-    ids being ints in [0, vocab). Anything else raises ValueError."""
+def _read_texts(path, vocab: int, context: int) -> tuple[list, list]:
+    """texts.json: {"subtitles": [[id, ...], ...], "captions": [...]}, each
+    list holding 1 to `context` token ids, ints in [0, vocab). Anything else
+    raises ValueError."""
     try:
         texts = json.loads(Path(path).read_text())
     except RecursionError as exc:
@@ -83,14 +85,20 @@ def _read_texts(path, vocab: int) -> tuple[list, list]:
     for key in ("subtitles", "captions"):
         seqs = texts.get(key)
         if type(seqs) is not list or not all(
-                type(ids) is list and all(type(i) is int and 0 <= i < vocab for i in ids)
+                type(ids) is list and 0 < len(ids) <= context
+                and all(type(i) is int and 0 <= i < vocab for i in ids)
                 for ids in seqs):
-            raise ValueError(f"{path}: {key!r} must be a list of lists of token "
-                             f"ids in [0, {vocab})")
+            raise ValueError(f"{path}: {key!r} must be a list of lists of 1 to "
+                             f"{context} token ids in [0, {vocab})")
     return texts["subtitles"], texts["captions"]
 
 
 def cmd_train(args) -> int:
+    from . import alignment
+    from .masks import TokenLayout
+    from .tensor_io import read_tensor, save_checkpoint
+    from .towers import (TextTowerConfig, VideoTowerConfig, init_text_params,
+                         init_video_params)
     file_cfg = _read_config_file(args.config) if args.config else {}
     fields = dataclasses.fields(TrainConfig)
     unknown = sorted(set(file_cfg) - {f.name for f in fields})
@@ -109,8 +117,8 @@ def cmd_train(args) -> int:
     clips = read_tensor(data / "clips.hta")
     if clips.ndim != 5:
         raise ValueError(f"clips.hta must be [B, T, H, W, 3], got {clips.shape}")
-    subtitles, captions = _read_texts(data / "texts.json", args.vocab)
-    dataset = AlignmentBatch(list(clips), subtitles, captions)
+    subtitles, captions = _read_texts(data / "texts.json", args.vocab, args.context)
+    dataset = alignment.AlignmentBatch(list(clips), subtitles, captions)
 
     t, h, w, _ = clips.shape[1:]
     # N exists only for a patch side >= 1; VideoTowerConfig rejects the others
@@ -125,7 +133,7 @@ def cmd_train(args) -> int:
     params = init_video_params(vcfg, rng)
     params.update(init_text_params(tcfg, rng))
 
-    trace = train(dataset, params, vcfg, tcfg, config, seed=args.seed)
+    trace = alignment.train(dataset, params, vcfg, tcfg, config, seed=args.seed)
     save_checkpoint(args.out, params, config={
         "video": {"layout": [layout.T, layout.N, layout.U, layout.V, layout.r],
                   "d": layout.d, "L": vcfg.L, "heads": vcfg.heads,
@@ -144,6 +152,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import retrieval
+    from .tensor_io import read_tensor
     video = read_tensor(args.video_emb)
     text = read_tensor(args.text_emb)
     queries, candidates = (text, video) if args.direction == "t2v" else (video, text)
@@ -159,6 +169,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curate(args) -> int:
+    from . import datapipe
+    if args.scales is None:     # resolved here, so the manifest records it
+        args.scales = ",".join(f"{x:g}" for x in datapipe.DEFAULT_SCALES)
     scales = tuple(float(x) for x in args.scales.split(","))
     endpoint = "" if args.summarizer == "fallback" else args.summarizer
     spec = datapipe.SummarizerSpec(endpoint=endpoint)
@@ -246,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curate", help="multi-scale clip curation")
     c.add_argument("--in", dest="in_dir", required=True)
     c.add_argument("--out", dest="out_dir", required=True)
-    c.add_argument("--scales",
-                   default=",".join(f"{x:g}" for x in datapipe.DEFAULT_SCALES))
+    c.add_argument("--scales", help="short,medium,long clip targets in seconds "
+                   "(default: datapipe.DEFAULT_SCALES)")
     c.add_argument("--fps", type=float, default=0.1)
     c.add_argument("--summarizer", default="fallback",
                    help='"fallback" or an external endpoint URL')
@@ -268,7 +281,7 @@ def run(argv=None) -> int:
     except (ValueError, KeyError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, datapipe.TransportError) as exc:
+    except OSError as exc:          # datapipe.TransportError too
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,8 +31,8 @@ SUMMARIZE_PROMPT = ("Summarize the following sentences into a single sentence, "
                     "text and use any external information.")
 
 
-class TransportError(RuntimeError):
-    """External summarizer endpoint failure."""
+class TransportError(OSError):
+    """External summarizer endpoint failure; an I/O error to the CLI."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,7 @@ def segment(words: list[dict]) -> list[TranscriptSentence]:
     Each word is {"w": str, "t0": float, "t1": float} with monotone times.
     A trailing run without terminal punctuation becomes the last sentence.
     """
-    if not words:
-        return []
-    prev_end = -math.inf
-    for i, w in enumerate(words):
-        if w["t1"] < w["t0"] or w["t0"] < prev_end:
-            raise ValueError(f"non-monotone timestamps at word {i}")
-        prev_end = w["t0"]
+    _check_order(words, "word")
     sentences = []
     buf: list[dict] = []
     for w in words:
@@ -101,6 +95,17 @@ def segment(words: list[dict]) -> list[TranscriptSentence]:
     if buf:
         sentences.append(_flush(buf))
     return sentences
+
+
+def _check_order(items: list[dict], what: str) -> None:
+    """Each item ends no earlier than it starts and starts no earlier than the
+    item before it; overlapping that item is fine. Both transcript forms, words
+    and pre-segmented sentences, are held to this rule."""
+    prev_start = -math.inf
+    for i, item in enumerate(items):
+        if item["t1"] < item["t0"] or item["t0"] < prev_start:
+            raise ValueError(f"non-monotone timestamps at {what} {i}")
+        prev_start = item["t0"]
 
 
 def _flush(buf: list[dict]) -> TranscriptSentence:
@@ -290,6 +295,7 @@ def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
         raise ValueError(f"video_id is not a string: {vid!r:.80}")
     if "sentences" in rec:
         items = _checked_items(rec["sentences"], "text", f"video {vid!r} sentences")
+        _check_order(items, "sentence")
         sents = [TranscriptSentence(s["text"], s["t0"], s["t1"]) for s in items]
     elif "words" in rec:
         sents = segment(_checked_items(rec["words"], "w", f"video {vid!r} words"))

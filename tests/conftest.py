@@ -1,4 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
+
+# pytest puts src/ on sys.path (pyproject.toml); the Python processes that
+# tests start import hta from the same checkout.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def central_diff(f, x: np.ndarray, idx, h: float = 1e-6) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hta import cli, selftest
+from hta import alignment, datapipe, selftest
 from hta.alignment import TrainConfig
 from hta.cli import run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
@@ -158,6 +158,19 @@ def test_curate_bad_later_file_writes_nothing(tmp_path, capsys):
     assert not (out / "a.jsonl").exists() and not (out / "stats.json").exists()
 
 
+def test_curate_transport_error_exits_2(tmp_path, monkeypatch, capsys):
+    def unreachable(clips, spec, post=None):
+        raise datapipe.TransportError("summarizer down")
+
+    monkeypatch.setattr(datapipe, "summarize_clips", unreachable)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "v.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    assert run(["curate", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "i/o error: summarizer down\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_smoke_and_config_precedence(tmp_path, capsys):
     rng = np.random.default_rng(3)
     b = 4
@@ -201,7 +214,7 @@ def test_every_train_config_field_settable(tmp_path, monkeypatch, capsys, source
         seen.append(config)
         return [(0, 1.0, config.base_lr, config.init_tau)]
 
-    monkeypatch.setattr(cli, "train", fake_train)
+    monkeypatch.setattr(alignment, "train", fake_train)
     # a non-default value per field; a new field fails here until it is listed
     want = {"steps": 7, "base_lr": 3e-3, "final_lr": 1e-4, "beta1": 0.8,
             "beta2": 0.99, "weight_decay": 0.1, "clip_norm": 5.0,
@@ -229,6 +242,23 @@ def test_train_config_unknown_key_exits_1(tmp_path, capsys):
     assert run(["train", "--config", str(cfg), "--data", str(tmp_path),
                 "--out", str(tmp_path / "o")]) == 1
     assert "stpes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("steps = 2\nsteps\n", 2, "steps"),
+    ("# comment\n\nbase_lr = 1e-3\nbatch_size =   # no value\n", 4, "batch_size"),
+    ("steps=2\nsteps=3\n", 2, "steps"),
+    ("= 3\n", 1, ""),
+], ids=("no =", "no value", "repeated", "no key"))
+def test_train_config_malformed_line_exits_1(tmp_path, capsys, text, line, key):
+    model = small_dataset(tmp_path / "data")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(text)
+    assert run(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                "--out", str(tmp_path / "o"), *model]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} line {line}: {key!r} ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -282,7 +312,7 @@ def test_diverging_train_writes_one_stderr_line(tmp_path):
 def test_train_config_file_exits_0_or_1(tmp_path_factory, monkeypatch, text):
     tmp = tmp_path_factory.mktemp("cfg")
     model = small_dataset(tmp / "data")
-    monkeypatch.setattr(cli, "train", lambda *a, **k: [(0, 1.0, 1e-3, 0.01)])
+    monkeypatch.setattr(alignment, "train", lambda *a, **k: [(0, 1.0, 1e-3, 0.01)])
     (tmp / "train.cfg").write_text(text, encoding="utf-8")
     assert run(["train", "--config", str(tmp / "train.cfg"), "--data", str(tmp / "data"),
                 "--out", str(tmp / "o"), *model]) in (0, 1)
@@ -306,6 +336,8 @@ MALFORMED_TEXTS = {name: json.dumps(texts) for name, texts in {
     "bool token": {"subtitles": [[1], [True]], "captions": [[1], [2]]},
     "token = vocab": {"subtitles": [[1], [2]], "captions": [[1], [16]]},
     "huge token": {"subtitles": [[1], [10 ** 30]], "captions": [[1], [2]]},
+    "empty tokens": {"subtitles": [[1], []], "captions": [[1], [2]]},
+    "over context": {"subtitles": [[1], [2]], "captions": [[1], [1, 2, 3, 4, 5, 6]]},
 }.items()} | {"deep": "[" * 100_000 + "]" * 100_000}
 
 
@@ -400,3 +432,50 @@ def test_verbs_without_gelu_never_load_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, json.dumps(verbs)],
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [[argv[0], 0, False] for argv in verbs]
+
+
+# The hta modules and the costly stdlib and third-party modules each verb
+# loads beyond `import hta.cli`, which loads hta, hta.cli and hta.config only.
+# No verb here loads the HTTP stack (only an external summarizer does).
+WATCHED = ("hashlib", "logging", "scipy", "urllib.request", "http.client")
+VERB_MODULES = {
+    "import": set(),
+    "mask": {"hta.masks", "hta.tape"},
+    "eval": {"hta.retrieval", "hta.tensor_io"},
+    "curate": {"hta.datapipe", "hashlib", "logging"},
+    "train": {"hta.alignment", "hta.towers", "hta.masks", "hta.tape", "hta.tensor_io",
+              "hashlib", "logging", "scipy"},       # scipy loads logging
+    "selftest": {"hta.selftest", "hta.oracles", "hta.masks", "hta.tape", "hta.towers",
+                 "hta.retrieval", "hashlib"},     # numpy.random loads hashlib
+}
+
+
+@pytest.mark.parametrize("verb", VERB_MODULES)
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, verb):
+    emb = str(tmp_path / "e.hta")
+    write_tensor(emb, np.eye(4))
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "v.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    argv = {
+        "import": [],
+        "mask": ["mask", "dump", "--layout", "4,4,2,1,2", "--family", "gst"],
+        "eval": ["eval", "--video-emb", emb, "--text-emb", emb, "--dsl"],
+        "curate": ["curate", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out")],
+        "train": ["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
+                  "--steps", "1", *small_dataset(tmp_path / "data")],
+        "selftest": ["selftest"],
+    }[verb]
+    # a fresh process runs the verb (or only imports the CLI) and reports its
+    # exit code and the hta and watched modules it loaded
+    code = ("import contextlib, io, json, sys\n"
+            "import hta.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = hta.cli.run(sys.argv[2:]) if sys.argv[2:] else 0\n"
+            "watched = json.loads(sys.argv[1])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                               if m.split('.')[0] == 'hta' or m in watched)]))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(WATCHED), *argv],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [0, sorted({"hta", "hta.cli", "hta.config"}
+                                         | VERB_MODULES[verb])]

@@ -278,6 +278,8 @@ MALFORMED_LINES = {
     "int video_id": '{"video_id": 7, "sentences": []}',
     "truncated": '{"video_id": "a", "words": [{"w": "Hi.", "t0": 0.0, "t1": 1.0}',
     "deep": "[" * 100_000 + "]" * 100_000,
+    "decreasing t0": '{"video_id": "a", "sentences": [{"text": "b.", "t0": 100, "t1": 110}, '
+                     '{"text": "a.", "t0": 0, "t1": 5}, {"text": "c.", "t0": 50, "t1": 52}]}',
 }
 
 
@@ -308,6 +310,26 @@ def test_arbitrary_json_raises_only_value_error(value):
         read_transcript_line(json.dumps(value))
     except ValueError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.1, 20.0)),
+                min_size=1, max_size=12))
+def test_starts_never_decrease_in_either_transcript_form(spans):
+    """Words and pre-segmented sentences obey one rule: a transcript is
+    accepted iff its starts never decrease. Every clip cut from an accepted
+    one then lasts a positive time."""
+    ordered = all(a[0] <= b[0] for a, b in zip(spans, spans[1:]))
+    for form, text_key in (("words", "w"), ("sentences", "text")):
+        items = [{text_key: f"x{i}.", "t0": t0, "t1": t0 + d}
+                 for i, (t0, d) in enumerate(spans)]
+        line = json.dumps({"video_id": "v", form: items})
+        if not ordered:
+            with pytest.raises(ValueError, match="non-monotone"):
+                read_transcript_line(line)
+            continue
+        vid, sents = read_transcript_line(line)
+        assert all(c.duration > 0 for c in extract_clips(vid, sents))
 
 
 def test_clip_json_roundtrip():
