@@ -108,9 +108,6 @@ class AdamW:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
-    def _decays(self, name: str, value: np.ndarray) -> bool:
-        return value.ndim >= 2 and name != "log_tau"
-
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
         cfg = self.config
@@ -122,7 +119,7 @@ class AdamW:
             if g is None:
                 continue
             p = params[name]
-            if self._decays(name, p):
+            if p.ndim >= 2:     # the 0-d temperature and 1-D vectors never decay
                 p -= lr * cfg.weight_decay * p
             m = self.m[name]
             v = self.v[name]

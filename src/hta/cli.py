@@ -1,7 +1,7 @@
 """Command-line entry point: mask dumps, training, evaluation, curation.
 
-Exit codes: 0 success, 1 contract/config error or a diverged training run,
-2 I/O or transport error.
+Exit codes: 0 success, 1 usage, contract or config error or a diverged
+training run, 2 I/O or transport error.
 Every run that writes an artifact also writes a reproducibility manifest
 (<out>.manifest.json) with the config hash, seed, and package version.
 
@@ -173,6 +173,7 @@ def cmd_curate(args) -> int:
     if args.scales is None:     # resolved here, so the manifest records it
         args.scales = ",".join(f"{x:g}" for x in datapipe.DEFAULT_SCALES)
     scales = tuple(float(x) for x in args.scales.split(","))
+    datapipe.check_scales(scales)
     endpoint = "" if args.summarizer == "fallback" else args.summarizer
     spec = datapipe.SummarizerSpec(endpoint=endpoint)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
@@ -180,11 +181,14 @@ def cmd_curate(args) -> int:
     outputs, all_clips = [], []
     for path in sorted(in_dir.glob("*.jsonl")):
         records = []
-        for line in path.read_text().splitlines():
+        for n, line in enumerate(path.read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            vid, sentences = datapipe.read_transcript_line(line)
-            clips = datapipe.extract_clips(vid, sentences, scales)
+            try:
+                vid, sentences = datapipe.read_transcript_line(line)
+                clips = datapipe.extract_clips(vid, sentences, scales)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from exc
             for clip in clips:
                 clip.caption = " ".join(
                     f"frame at {tstamp:.1f}s"
@@ -213,9 +217,16 @@ def cmd_selftest(args) -> int:
     return selftest.run(seed=args.seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, so it exits 1 with one stderr line
+    instead of argparse's usage text and exit 2. Subparsers inherit this."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hta",
-                                description="hierarchical temporal attention toolkit")
+    p = _Parser(prog="hta", description="hierarchical temporal attention toolkit")
     p.add_argument("--seed", type=int, default=0, help="global RNG seed")
     sub = p.add_subparsers(dest="verb", required=True)
 

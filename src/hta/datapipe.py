@@ -113,6 +113,14 @@ def _flush(buf: list[dict]) -> TranscriptSentence:
                               buf[0]["t0"], buf[-1]["t1"])
 
 
+def check_scales(scales: tuple[float, ...]) -> None:
+    """One finite target > 0 per scale name, else ValueError."""
+    if len(scales) != len(SCALE_NAMES) or not all(
+            0 < target < math.inf for target in scales):      # False for NaN
+        raise ValueError(f"scales must be {len(SCALE_NAMES)} finite targets "
+                         f"> 0, got {scales}")
+
+
 def extract_clips(video_id: str, sentences: list[TranscriptSentence],
                   scales: tuple[float, ...] = DEFAULT_SCALES) -> list[ClipRecord]:
     """Three independent greedy passes, one per target duration.
@@ -125,10 +133,7 @@ def extract_clips(video_id: str, sentences: list[TranscriptSentence],
     """
     if not sentences:
         raise ValueError("no sentences to extract clips from")
-    if len(scales) != len(SCALE_NAMES) or not all(
-            0 < target < math.inf for target in scales):      # False for NaN
-        raise ValueError(f"scales must be {len(SCALE_NAMES)} finite targets "
-                         f"> 0, got {scales}")
+    check_scales(scales)
     n = len(sentences)
     clips = []
     for name, target in zip(SCALE_NAMES, scales):

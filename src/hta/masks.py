@@ -5,10 +5,10 @@ position 0 is [CLS]; positions 1 .. U*V hold the [MST] tokens (the first V at
 hierarchy level 0, the next V at level 1, ...); the remaining T*N positions are
 patch tokens in frame-major order, frame t patch n at 1 + U*V + t*N + n.
 
-A mask is a plain float64 array of additive biases: 0 where attention is
-allowed, and the most-negative finite float64 (tape.MASK_NEG) where it is
-blocked, which serializes as "-inf". `slt_mask` is [T*N, T*N] over patch
-tokens; `gst_stacked_mask` is [S, S] over the full sequence.
+A mask is a plain boolean array, True where attention is blocked; the
+attention softmax gives blocked positions weight 0, and a dump writes them as
+"-inf". `slt_mask` is [T*N, T*N] over patch tokens; `gst_stacked_mask` is
+[S, S] over the full sequence.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tape import MASK_NEG, is_masked
 
 
 @dataclass(frozen=True)
@@ -43,16 +41,12 @@ class TokenLayout:
     def num_mst(self) -> int:
         return self.U * self.V
 
-    def patch_index(self, t: int, n: int) -> int:
-        return 1 + self.num_mst + t * self.N + n
-
 
 def slt_mask(layout: TokenLayout) -> np.ndarray:
     """Spatially-local temporal mask over patch tokens: (i, j) allowed iff the
     two patches share a spatial position, i.e. |j - i| = 0 mod N."""
     idx = np.arange(layout.T * layout.N)
-    allowed = (np.abs(idx[None, :] - idx[:, None]) % layout.N) == 0
-    return np.where(allowed, 0.0, MASK_NEG)
+    return (np.abs(idx[None, :] - idx[:, None]) % layout.N) != 0
 
 
 def gst_stacked_mask(layout: TokenLayout) -> np.ndarray:
@@ -67,19 +61,20 @@ def gst_stacked_mask(layout: TokenLayout) -> np.ndarray:
     mst, patch = slice(1, 1 + uv), slice(1 + uv, layout.seq_len)
     level = np.arange(uv) // layout.V
     frame = np.arange(layout.T * layout.N) // layout.N
+    # r^u in Python ints, capped at T: a stride >= T admits frame 0 alone
+    stride = np.array([min(layout.r ** u, layout.T) for u in range(layout.U)], int)
     allowed = np.zeros((layout.seq_len, layout.seq_len), dtype=bool)
     allowed[0] = True
     allowed[mst, mst] = level[:, None] >= level[None, :]
-    allowed[mst, patch] = (frame[None, :] % layout.r ** level[:, None]) == 0
+    allowed[mst, patch] = (frame[None, :] % stride[level][:, None]) == 0
     allowed[patch, mst] = True
     allowed[patch, patch] = frame[:, None] == frame[None, :]
-    return np.where(allowed, 0.0, MASK_NEG)
+    return ~allowed
 
 
 def mask_to_csv(mask: np.ndarray) -> str:
     """CSV rows of "0"/"-inf"."""
-    lines = [",".join("-inf" if b else "0" for b in row)
-             for row in is_masked(mask).tolist()]
+    lines = [",".join("-inf" if b else "0" for b in row) for row in mask.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -87,5 +82,5 @@ def mask_to_pgm(mask: np.ndarray) -> str:
     """ASCII PGM: allowed -> white (255), blocked -> black (0)."""
     rows, cols = mask.shape
     body = "\n".join(" ".join("0" if b else "255" for b in row)
-                     for row in is_masked(mask).tolist())
+                     for row in mask.tolist())
     return f"P2\n{cols} {rows}\n255\n{body}\n"

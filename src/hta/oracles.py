@@ -1,21 +1,21 @@
 """Independent brute-force oracles: entry-by-entry mask predicates and a
 sort-based retrieval ranker. Deliberately written with explicit loops so they
-share no code path with the vectorized constructors they check."""
+share no code path with the vectorized constructors they check. A mask is
+True where attention is blocked, as in `hta.masks`."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .masks import TokenLayout
-from .tape import MASK_NEG
 
 
 def reference_slt_mask(layout: TokenLayout) -> np.ndarray:
     tn = layout.T * layout.N
-    out = np.empty((tn, tn))
+    out = np.empty((tn, tn), dtype=bool)
     for i in range(tn):
         for j in range(tn):
-            out[i, j] = 0.0 if abs(j - i) % layout.N == 0 else MASK_NEG
+            out[i, j] = abs(j - i) % layout.N != 0
     return out
 
 
@@ -25,7 +25,7 @@ def reference_stacked_mask(layout: TokenLayout) -> np.ndarray:
     s = layout.seq_len
     uv = layout.num_mst
     n = layout.N
-    out = np.full((s, s), MASK_NEG)
+    out = np.full((s, s), True)
 
     def col_kind(j):
         if j == 0:
@@ -34,7 +34,7 @@ def reference_stacked_mask(layout: TokenLayout) -> np.ndarray:
             return "mst", j - 1
         return "patch", j - 1 - uv
 
-    out[0, :] = 0.0                                   # [CLS] attends everything
+    out[0, :] = False                                 # [CLS] attends everything
     for row in range(1, s):
         if row <= uv:                                 # [MST] row
             i = row - 1
@@ -43,18 +43,18 @@ def reference_stacked_mask(layout: TokenLayout) -> np.ndarray:
                 kind, k = col_kind(j)
                 if kind == "mst":
                     if level >= k // layout.V:
-                        out[row, j] = 0.0
+                        out[row, j] = False
                 elif kind == "patch":
                     if (k // n) % (layout.r ** level) == 0:
-                        out[row, j] = 0.0
+                        out[row, j] = False
         else:                                         # patch row
             i = row - 1 - uv
             for j in range(s):
                 kind, k = col_kind(j)
                 if kind == "mst":
-                    out[row, j] = 0.0
+                    out[row, j] = False
                 elif kind == "patch" and k // n == i // n:
-                    out[row, j] = 0.0
+                    out[row, j] = False
     return out
 
 

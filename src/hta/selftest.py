@@ -12,7 +12,7 @@ import numpy as np
 from .masks import TokenLayout, gst_stacked_mask, slt_mask
 from .oracles import brute_force_ranks, reference_slt_mask, reference_stacked_mask
 from .retrieval import ranks
-from .tape import Tape, is_masked, layer_norm_value, masked_softmax_value
+from .tape import Tape, layer_norm_value, masked_softmax_value
 from .towers import VideoTowerConfig, init_video_params, register_params, slt_block
 
 
@@ -67,7 +67,7 @@ def check_masked_weights(cases) -> str | None:
     """For each (label, weights [..., s, s], mask [s, s]): the weights are
     exactly 0 where the mask blocks, and every row sums to 1 within 1e-12."""
     for label, w, mask in cases:
-        if not (w[..., is_masked(mask)] == 0.0).all():
+        if not (w[..., mask] == 0.0).all():
             return f"{label}: a blocked weight is not 0"
         err = np.abs(w.sum(axis=-1) - 1.0).max()
         if not err <= 1e-12:
@@ -88,7 +88,8 @@ def run(seed: int = 0) -> int:
     returns the exit code."""
     rng = np.random.default_rng(seed)
     layouts = [TokenLayout(T=t, N=n, U=u, V=v, r=r)
-               for t, n, u, v, r in ((4, 4, 2, 1, 2), (2, 1, 0, 1, 2), (8, 9, 3, 4, 3))]
+               for t, n, u, v, r in ((4, 4, 2, 1, 2), (2, 1, 0, 1, 2), (8, 9, 3, 4, 3),
+                                     (4, 1, 9, 1, 256))]     # r^8 = 2^64
     cfg = VideoTowerConfig(layout=TokenLayout(T=4, N=4, U=2, V=1, r=2, d=8),
                            L=2, heads=2, D=4)
     params = init_video_params(cfg, rng)

@@ -37,17 +37,7 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-# Most-negative finite float64; stands in for -inf inside mask tensors so that
-# ordinary arithmetic on masks never produces NaN. Converted to a hard "no
-# attention" decision inside masked_softmax.
-MASK_NEG = float(np.finfo(np.float64).min)
-
 LN_EPS = 1e-5   # added to the variance in every layer norm
-
-
-def is_masked(entries: np.ndarray) -> np.ndarray:
-    """Boolean map of forbidden positions in an additive-mask payload."""
-    return entries <= MASK_NEG
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -66,20 +56,20 @@ def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:
         raise ValueError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
 
 
-def masked_softmax_value(logits: np.ndarray, mask_entries: np.ndarray) -> np.ndarray:
-    """Last-axis softmax of logits with positions forbidden by the mask forced
-    to 0. The [s, s] mask broadcasts over any leading axes of the logits.
+def masked_softmax_value(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Last-axis softmax of logits with the positions where the boolean mask
+    `blocked` is True forced to 0. The [s, s] mask broadcasts over any leading
+    axes of the logits.
 
     Stabilized by subtracting the per-row max over *allowed* entries only.
     A fully masked row of the mask is a contract violation. Logits are not
     checked: non-finite ones give NaN weights, which reach the caller.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape[-2:] != mask_entries.shape:
+    if logits.shape[-2:] != blocked.shape:
         raise ValueError(
-            f"logits shape {logits.shape} does not match mask shape {mask_entries.shape}"
+            f"logits shape {logits.shape} does not match mask shape {blocked.shape}"
         )
-    blocked = is_masked(mask_entries)
     full = blocked.all(axis=-1)
     if full.any():
         raise ValueError(f"fully masked row {np.flatnonzero(full)[0]}: softmax undefined")
@@ -261,8 +251,8 @@ class Tape:
             (bias, lambda g, s=bv.shape: _unbroadcast(g, s)),
         ])
 
-    def masked_softmax(self, logits: Node, mask_entries: np.ndarray) -> Node:
-        p = masked_softmax_value(logits.value, mask_entries)
+    def masked_softmax(self, logits: Node, blocked: np.ndarray) -> Node:
+        p = masked_softmax_value(logits.value, blocked)
 
         def vjp(g, p=p):
             return p * (g - (g * p).sum(axis=-1, keepdims=True))

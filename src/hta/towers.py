@@ -148,7 +148,7 @@ def patchify(clip: np.ndarray, patch: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _gst_entries(layout: TokenLayout) -> np.ndarray:
+def _gst_mask(layout: TokenLayout) -> np.ndarray:
     return gst_stacked_mask(layout)
 
 
@@ -173,11 +173,11 @@ def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
 
 
 def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
-               mask_entries: np.ndarray, heads: int, stride: int = 1,
+               mask: np.ndarray, heads: int, stride: int = 1,
                rows=None) -> int:
     """Multi-head masked self-attention over rows of x (post-LN input).
 
-    The rows form blocks of s * stride rows, s = len(mask_entries); within a
+    The rows form blocks of s * stride rows, s = len(mask); within a
     block, rows i and j share a sequence iff i = j mod stride. Each sequence
     becomes one entry of a [blocks, stride, heads] batch of attentions. Keys
     and values come from all s positions of a sequence, queries only from the
@@ -185,11 +185,11 @@ def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
     row per query, in the order of x.
     """
     n, d = tape.value(x).shape
-    s, dh = mask_entries.shape[0], d // heads
+    s, dh = mask.shape[0], d // heads
     blocks = n // (s * stride)
     x_q = x
     if rows is not None:
-        mask_entries = mask_entries[rows]
+        mask = mask[rows]
         x_q = tape.reshape(tape.take_rows(tape.reshape(x, (blocks, s, stride * d)),
                                           rows, axis=1), (-1, d))
 
@@ -201,7 +201,7 @@ def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
     kt = project(x, "k", (0, 2, 3, 4, 1))      # [blocks, stride, heads, dh, s]
     v = project(x, "v", (0, 2, 3, 1, 4))       # [blocks, stride, heads, s, dh]
     logits = tape.scale(tape.bmm(q, kt), 1.0 / math.sqrt(dh))
-    out = tape.bmm(tape.masked_softmax(logits, mask_entries), v)
+    out = tape.bmm(tape.masked_softmax(logits, mask), v)
     merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (-1, d))
     return tape.linear(merged, pid[f"{pre}.wo"], pid[f"{pre}.bo"])
 
@@ -228,7 +228,7 @@ def slt_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
     pre = f"layer{layer}.slt"
     x = tape.layer_norm(patches, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
     # frames of one spatial position are N rows apart within a clip's patches
-    attn = _attention(tape, x, pre, pid, np.zeros((lay.T, lay.T)), config.heads,
+    attn = _attention(tape, x, pre, pid, np.zeros((lay.T, lay.T), bool), config.heads,
                       stride=lay.N)
     updated = tape.reshape(tape.add(attn, patches), (b, lay.T * lay.N, lay.d))
     return tape.reshape(tape.concat_rows([special, updated], axis=1), (-1, lay.d))
@@ -247,7 +247,7 @@ def gst_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
     if rows is not None:
         z = tape.reshape(tape.take_rows(tape.reshape(z, (b, lay.seq_len, lay.d)),
                                         rows, axis=1), (-1, lay.d))
-    z = tape.add(_attention(tape, x, pre, pid, _gst_entries(lay), config.heads,
+    z = tape.add(_attention(tape, x, pre, pid, _gst_mask(lay), config.heads,
                             rows=rows), z)
     m = f"layer{layer}.mlp"
     h = tape.gelu(tape.linear(z, pid[f"{m}.w1"], pid[f"{m}.b1"]))

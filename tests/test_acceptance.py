@@ -12,7 +12,7 @@ import pytest
 from conftest import rel_err
 from hta.alignment import (AlignmentBatch, TrainConfig, info_nce, total_loss,
                            train)
-from hta.masks import MASK_NEG, TokenLayout, gst_stacked_mask
+from hta.masks import TokenLayout, gst_stacked_mask
 from hta.oracles import brute_force_ranks
 from hta.retrieval import dual_softmax, evaluate, metrics_from_ranks, similarity
 from hta.selftest import (check_masked_weights, check_masks, check_ranks,
@@ -60,8 +60,7 @@ def test_criterion_02_fig3_hand_enumeration():
     for t in range(4):
         blocks = "".join("oooo" if b == t else "xxxx" for b in range(4))
         rows.extend(["xoo" + blocks] * 4)     # patches: MSTs + own frame, no [CLS]
-    expected = np.where(
-        np.array([[c == "x" for c in row] for row in rows]), MASK_NEG, 0.0)
+    expected = np.array([[c == "x" for c in row] for row in rows])
     got = gst_stacked_mask(FIG3)
     report(2, np.array_equal(got, expected),
            "19x19 stacked mask matches the hand enumeration")

@@ -111,6 +111,44 @@ def test_curate_input_must_be_a_directory(tmp_path, capsys, kind, code, err):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("words, err", [
+    ([{"w": "a", "t0": 5, "t1": 6}, {"w": "b.", "t0": 1, "t1": 2}],
+     "non-monotone timestamps at word 1"),
+    ([{"w": "a.", "t0": 1, "t1": 1}], "sentence end 1 <= start 1"),
+], ids=("order", "empty sentence"))
+def test_curate_transcript_error_names_file_and_line(tmp_path, capsys, words, err):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "a.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    (src / "b.jsonl").write_text("\n".join(json.dumps(line) for line in (
+        {"video_id": "p", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]},
+        {"video_id": "q", "words": words})))
+    assert run(["curate", "--in", str(src), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {src / 'b.jsonl'} line 2: {err}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["train", "--data", "x", "--out", "y", "--steps", "abc"],
+     "argument --steps: invalid int value: 'abc'"),
+    ([], "the following arguments are required: verb"),
+    (["mask", "dump", "--layout", "2,4,1,1,2"],
+     "the following arguments are required: --family"),
+    (["eval", "--video-emb", "v", "--text-emb", "t", "--bogus"],
+     "unrecognized arguments: --bogus"),
+], ids=("bad int", "no verb", "missing flag", "unknown flag"))
+def test_usage_error_exits_1_with_one_line(capsys, argv, err):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hta train")
+
+
 def test_module_form_runs_the_cli(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "hta.cli", "curate", "--in",
                            str(tmp_path / "missing"), "--out", str(tmp_path / "out")],
@@ -268,6 +306,10 @@ def small_dataset(data):
     write_tensor(data / "clips.hta", np.zeros((4, 2, 8, 8, 3)))
     (data / "texts.json").write_text(json.dumps(
         {"subtitles": [[1], [2], [3], [4]], "captions": [[5], [6], [7], [8]]}))
+    return small_dataset_flags()
+
+
+def small_dataset_flags():
     return ["--width", "8", "--layers", "1", "--heads", "2", "--embed-dim", "4",
             "--hierarchies", "1", "--vocab", "16", "--context", "4"]
 
@@ -394,7 +436,8 @@ def test_selftest_command(capsys):
 
 def test_selftest_names_the_input_that_breaks_an_invariant(monkeypatch, capsys):
     # an SlT mask that blocks nothing
-    monkeypatch.setattr(selftest, "slt_mask", lambda lay: np.zeros((lay.T * lay.N,) * 2))
+    monkeypatch.setattr(selftest, "slt_mask",
+                        lambda lay: np.zeros((lay.T * lay.N,) * 2, bool))
     assert run(["selftest"]) == 1
     assert ("FAIL  mask oracle equivalence: slt mask differs from its oracle at "
             "TokenLayout(T=4, N=4, U=2") in capsys.readouterr().out
@@ -440,7 +483,7 @@ def test_verbs_without_gelu_never_load_scipy(tmp_path):
 WATCHED = ("hashlib", "logging", "scipy", "urllib.request", "http.client")
 VERB_MODULES = {
     "import": set(),
-    "mask": {"hta.masks", "hta.tape"},
+    "mask": {"hta.masks"},
     "eval": {"hta.retrieval", "hta.tensor_io"},
     "curate": {"hta.datapipe", "hashlib", "logging"},
     "train": {"hta.alignment", "hta.towers", "hta.masks", "hta.tape", "hta.tensor_io",
@@ -479,3 +522,102 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, verb):
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [0, sorted({"hta", "hta.cli", "hta.config"}
                                          | VERB_MODULES[verb])]
+
+
+# -- every verb on drawn argv ---------------------------------------------------
+#
+# Flag values come from a small alphabet of what breaks parsers and contracts:
+# non-finite, zero and negative numbers, non-numbers, and paths that are
+# missing or of the wrong kind. The first value of each flag is a valid one,
+# drawn half the time, so that draws also get past the parser. "@name" stands
+# for that entry of a fresh directory (see argv_fixture); "@missing" is never
+# created. Model sizes stay at most 3 (widths and vocabularies at most 64), so
+# no draw allocates more than a few MB, and train runs at most one step.
+
+NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e300", "abc", ""]
+SMALL_INTS = ["-1", "0", "1", "2", "3", "1.5", "nan", "abc", ""]
+WIDE_INTS = SMALL_INTS + ["4", "8", "16", "64"]
+PATHS = ["@missing", "@missing/x", "@dir", "@file"]
+OUTS = ["@out", *PATHS]
+ARGV_FLAGS = {      # flag -> values, a valid one first; None marks a switch
+    "mask": {"--layout": ["4,4,2,1,2", "2,1,0,1,2", "2,4", "4,4,2,1,1", "abc",
+                          *(",".join([v] * 5) for v in SMALL_INTS)],
+             "--family": ["gst", "slt", "x"], "--format": ["pgm", "csv", "x"],
+             "--out": OUTS},
+    "eval": {"--video-emb": ["@emb", "@emb3", "@garbage", *PATHS],
+             "--text-emb": ["@emb", "@emb3", "@garbage", *PATHS],
+             "--dsl": None, "--alpha": ["100", *NUMBERS],
+             "--direction": ["v2t", "t2v", "x"], "--out": OUTS},
+    "curate": {"--in": ["@in", "@bad_in", *PATHS], "--out": OUTS,
+               "--scales": ["13,30,60", "nan,30,60", "1,2", "0,1,2", "abc"],
+               "--fps": ["0.5", *NUMBERS], "--placeholder-captions": None},
+    "train": {"--data": ["@data", "@bad_data", *PATHS], "--out": OUTS,
+              "--config": ["@cfg", *PATHS], "--steps": ["1", "0", "-1", "abc"],
+              "--base-lr": ["1e-3", *NUMBERS], "--beta2": ["0.9", *NUMBERS],
+              "--init-tau": ["0.1", *NUMBERS], "--batch-size": ["2", *WIDE_INTS],
+              "--width": ["16", *WIDE_INTS], "--layers": ["2", *SMALL_INTS],
+              "--heads": ["1", *SMALL_INTS], "--embed-dim": ["8", *WIDE_INTS],
+              "--patch": ["2", *WIDE_INTS], "--hierarchies": ["3", *SMALL_INTS],
+              "--mst-per-level": ["2", *SMALL_INTS],
+              "--temporal-scale": ["3", *WIDE_INTS], "--vocab": ["64", *WIDE_INTS],
+              "--context": ["2", *WIDE_INTS]},
+    "selftest": {},
+}
+REQUIRED = {"--layout", "--family", "--video-emb", "--text-emb", "--in", "--out",
+            "--data"}
+
+
+def argv_fixture(tmp):
+    """Create every "@name" entry but @missing and @out under tmp."""
+    small_dataset(tmp / "data")
+    (tmp / "bad_data").mkdir()
+    write_tensor(tmp / "bad_data" / "clips.hta", np.zeros((2, 2, 8, 8, 3)))
+    (tmp / "bad_data" / "texts.json").write_text('{"subtitles": [[1]]}')
+    (tmp / "cfg").write_text("steps = 1\nbase_lr = 1e-3\n")
+    write_tensor(tmp / "emb", np.eye(4, 3))
+    write_tensor(tmp / "emb3", np.ones((3, 3)))
+    (tmp / "garbage").write_bytes(b"HTA1\xff\xff\xff\xff")
+    (tmp / "dir").mkdir()
+    (tmp / "file").write_text("x")
+    for name, t1 in (("in", 5.0), ("bad_in", -1.0)):
+        (tmp / name).mkdir()
+        (tmp / name / "v.jsonl").write_text(json.dumps(
+            {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": t1}]}))
+
+
+@st.composite
+def drawn_argv(draw, verb):
+    def value(values):
+        return draw(st.sampled_from(values)) if draw(st.booleans()) else values[0]
+
+    argv = ["--seed", value(["3", *SMALL_INTS])] if draw(st.booleans()) else []
+    argv += ["mask", "dump"] if verb == "mask" else [verb]
+    if verb == "train":     # a tiny model for one step; drawn flags override it
+        argv += ["--steps", "1", *small_dataset_flags()]
+    for flag, values in ARGV_FLAGS[verb].items():
+        if draw(st.integers(0, 9)) < (9 if flag in REQUIRED else 3):
+            argv += [flag] if values is None else [flag, value(values)]
+    return argv
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("verb", ARGV_FLAGS)
+def test_drawn_argv_exits_0_1_or_2_with_one_line(tmp_path_factory, capsys, verb):
+    @settings(max_examples=40 if verb == "train" else 25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn_argv(verb))
+    def check(argv):
+        tmp = tmp_path_factory.mktemp("argv")
+        argv_fixture(tmp)
+        before = tree(tmp)
+        code = run([str(tmp / a[1:]) if a.startswith("@") else a for a in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") <= 1, err
+        assert code == 0 or tree(tmp) == before
+
+    check()

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hta.masks import (TokenLayout, gst_stacked_mask, mask_to_csv, mask_to_pgm,
                        slt_mask)
 from hta.selftest import check_masks
-from hta.tape import is_masked
 
 FIG3 = TokenLayout(T=4, N=4, U=2, V=1, r=2)
 
@@ -36,8 +35,6 @@ def test_layout_validation():
 def test_layout_index_map():
     lay = TokenLayout(T=3, N=2, U=2, V=2, r=2)
     assert lay.seq_len == 1 + 4 + 6
-    assert lay.patch_index(0, 0) == 5
-    assert lay.patch_index(2, 1) == 10
 
 
 # -- SlT ---------------------------------------------------------------------
@@ -74,7 +71,7 @@ def test_gst_patch_zero_count_constant():
                 TokenLayout(T=8, N=9, U=3, V=4, r=3)):
         m = patch_rows(lay)
         assert (zeros_per_row(m) == lay.num_mst + lay.N).all()
-        assert (is_masked(m[:, 0])).all()
+        assert m[:, 0].all()
 
 
 def test_gst_patch_single_patch_frames_identity():
@@ -89,7 +86,7 @@ def test_gst_mst_level1_stride():
     frames = np.flatnonzero(patch_cols) // FIG3.N
     assert set(frames) == {0, 2}
     assert (row[1:3] == 0.0).all()      # both [MST] tokens
-    assert is_masked(row[:1]).all()     # never [CLS]
+    assert row[:1].all()                # never [CLS]
 
 
 def test_gst_mst_level0_attends_all_frames():
@@ -115,6 +112,16 @@ def test_gst_mst_large_stride_still_sees_frame0():
     lay = TokenLayout(T=2, N=3, U=3, V=1, r=3)   # r^2 = 9 > T
     row = mst_rows(lay)[2]
     patch_cols = np.flatnonzero(row[1 + lay.num_mst:] == 0.0) // lay.N
+    assert set(patch_cols) == {0}
+
+
+@pytest.mark.parametrize("u, r", [(65, 2), (33, 4), (23, 8), (17, 16), (9, 256),
+                                  (70, 2)])
+def test_deep_hierarchy_equals_oracle(u, r):
+    # r^(U-1) reaches 2^64 here, past any fixed-width integer stride
+    lay = TokenLayout(T=4, N=1, U=u, V=1, r=r)
+    assert check_masks([lay]) is None
+    patch_cols = np.flatnonzero(mst_rows(lay)[-1, 1 + lay.num_mst:] == 0.0)
     assert set(patch_cols) == {0}
 
 
@@ -149,7 +156,7 @@ def test_u0_degenerate():
     assert m.shape == (1 + 6, 1 + 6)
     # patch rows: same-frame patches only, [CLS] blocked
     assert (zeros_per_row(m)[1:] == lay.N).all()
-    assert is_masked(m[1:, 0]).all()
+    assert m[1:, 0].all()
     assert check_masks([lay]) is None
 
 
@@ -177,5 +184,5 @@ def test_masks_equal_oracles_on_drawn_layouts(t, n, u, v, r):
     lay = TokenLayout(T=t, N=n, U=u, V=v, r=r)
     assert check_masks([lay]) is None
     for mask in (slt_mask(lay), gst_stacked_mask(lay)):
-        assert mask.dtype == np.float64
-        assert not is_masked(mask).all(axis=1).any()     # no fully blocked row
+        assert mask.dtype == bool
+        assert not mask.all(axis=1).any()  # no fully blocked row

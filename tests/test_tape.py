@@ -10,7 +10,7 @@ from conftest import rel_err
 from hta.alignment import AlignmentBatch, total_loss_node
 from hta.masks import TokenLayout
 from hta.selftest import check_masked_weights
-from hta.tape import MASK_NEG, Tape, layer_norm_value, masked_softmax_value
+from hta.tape import Tape, layer_norm_value, masked_softmax_value
 from hta.towers import (TextTowerConfig, VideoTowerConfig, init_text_params,
                         init_video_params, register_params)
 
@@ -85,7 +85,7 @@ def test_masked_softmax_uniform():
 
 
 def test_masked_softmax_blocks_middle():
-    mask = np.array([[0.0, MASK_NEG, 0.0]])
+    mask = np.array([[False, True, False]])
     p = masked_softmax_value(np.zeros((1, 3)), mask)
     assert np.allclose(p, [[0.5, 0.0, 0.5]])
     assert p[0, 1] == 0.0
@@ -99,8 +99,8 @@ def test_masked_softmax_stabilized():
 
 
 def test_masked_softmax_fully_masked_row_raises():
-    mask = np.full((2, 3), MASK_NEG)
-    mask[0] = 0.0
+    mask = np.full((2, 3), True)
+    mask[0] = False
     with pytest.raises(ValueError, match="row 1"):
         masked_softmax_value(np.zeros((2, 3)), mask)
 
@@ -116,7 +116,7 @@ def test_masked_softmax_broadcasts_mask_over_leading_axes():
     with pytest.raises(ValueError, match="does not match"):
         masked_softmax_value(logits, mask[:, :4])
     blocked = mask.copy()
-    blocked[2] = MASK_NEG
+    blocked[2] = True
     with pytest.raises(ValueError, match="row 2"):
         masked_softmax_value(logits, blocked)
 
@@ -136,7 +136,7 @@ def test_masked_softmax_row_sums_and_exact_zeros():
         logits = rng.normal(size=(5, 7)) * 10
         allowed = rng.random((5, 7)) < 0.5
         allowed[:, 0] = True
-        mask = np.where(allowed, 0.0, MASK_NEG)
+        mask = ~allowed
         p = masked_softmax_value(logits, mask)
         assert check_masked_weights([("random mask", p, mask)]) is None
 
@@ -306,7 +306,7 @@ def test_values_live_only_while_a_handle_or_a_vjp_holds_them():
 def _mask_for(rng, shape):
     allowed = rng.random(shape) < 0.6
     allowed[:, 0] = True
-    return np.where(allowed, 0.0, MASK_NEG)
+    return ~allowed
 
 
 OPS = {

@@ -199,9 +199,9 @@ def test_gst_block_frame_isolation():
 # -- blocks vs an independent per-clip recomputation --------------------------
 
 
-def reference_attention(z, params, pre, mask_entries, heads):
-    """Residual plus pre-LN multi-head attention over the rows of z under an
-    additive mask, in plain numpy."""
+def reference_attention(z, params, pre, mask, heads):
+    """Residual plus pre-LN multi-head attention over the rows of z under a
+    boolean mask (True = blocked), in plain numpy."""
     mu, var = z.mean(axis=1, keepdims=True), z.var(axis=1, keepdims=True)
     x = (z - mu) / np.sqrt(var + 1e-5)
     x = x * params[f"{pre}.ln.g"] + params[f"{pre}.ln.b"]
@@ -210,7 +210,7 @@ def reference_attention(z, params, pre, mask_entries, heads):
     out = np.zeros_like(z)
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
-        logits = q[:, cols] @ k[:, cols].T / np.sqrt(dh) + mask_entries
+        logits = np.where(mask, -np.inf, q[:, cols] @ k[:, cols].T / np.sqrt(dh))
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         out[:, cols] = w / w.sum(axis=1, keepdims=True) @ v[:, cols]
     return z + out @ params[f"{pre}.wo"] + params[f"{pre}.bo"]
