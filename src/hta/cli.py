@@ -174,6 +174,7 @@ def cmd_curate(args) -> int:
         args.scales = ",".join(f"{x:g}" for x in datapipe.DEFAULT_SCALES)
     scales = tuple(float(x) for x in args.scales.split(","))
     datapipe.check_scales(scales)
+    datapipe.check_fps(args.fps)
     endpoint = "" if args.summarizer == "fallback" else args.summarizer
     spec = datapipe.SummarizerSpec(endpoint=endpoint)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
@@ -187,13 +188,13 @@ def cmd_curate(args) -> int:
             try:
                 vid, sentences = datapipe.read_transcript_line(line)
                 clips = datapipe.extract_clips(vid, sentences, scales)
+                for clip in clips:
+                    clip.caption = " ".join(
+                        f"frame at {tstamp:.1f}s"
+                        for tstamp in datapipe.caption_frames(clip, args.fps)
+                    ) if args.placeholder_captions else clip.caption
             except ValueError as exc:
                 raise ValueError(f"{path} line {n}: {exc}") from exc
-            for clip in clips:
-                clip.caption = " ".join(
-                    f"frame at {tstamp:.1f}s"
-                    for tstamp in datapipe.caption_frames(clip, args.fps)
-                ) if args.placeholder_captions else clip.caption
             datapipe.summarize_clips(clips, spec)
             records.extend(clips)
         outputs.append((out_dir / path.name, records))

@@ -121,6 +121,12 @@ def check_scales(scales: tuple[float, ...]) -> None:
                          f"> 0, got {scales}")
 
 
+def check_fps(fps: float) -> None:
+    """A finite caption frame rate > 0, else ValueError."""
+    if not 0.0 < fps < math.inf:                                # False for NaN
+        raise ValueError(f"fps must be finite and positive, got {fps}")
+
+
 def extract_clips(video_id: str, sentences: list[TranscriptSentence],
                   scales: tuple[float, ...] = DEFAULT_SCALES) -> list[ClipRecord]:
     """Three independent greedy passes, one per target duration.
@@ -174,8 +180,7 @@ def caption_frames(clip: ClipRecord, fps: float) -> list[float]:
     count = max(1, floor(duration*fps) + 1). fps must be finite and positive,
     and a clip that needs more than MAX_CAPTION_FRAMES frames raises
     ValueError."""
-    if not 0.0 < fps < math.inf:
-        raise ValueError(f"fps must be finite and positive, got {fps}")
+    check_fps(fps)
     span = clip.duration * fps
     if not span < MAX_CAPTION_FRAMES:
         raise ValueError(f"clip {clip.video_id!r} {clip.start:g}-{clip.end:g}s needs "

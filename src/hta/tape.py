@@ -62,10 +62,13 @@ def masked_softmax_value(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     axes of the logits.
 
     Stabilized by subtracting the per-row max over *allowed* entries only.
-    A fully masked row of the mask is a contract violation. Logits are not
-    checked: non-finite ones give NaN weights, which reach the caller.
+    A mask that is not boolean or has a fully masked row is a contract
+    violation. Logits are not checked: non-finite ones give NaN weights, which
+    reach the caller.
     """
     logits = np.asarray(logits, dtype=np.float64)
+    if blocked.dtype != bool:       # a 0/1 "allowed" map would be inverted
+        raise ValueError(f"mask must be boolean (True = blocked), got {blocked.dtype}")
     if logits.shape[-2:] != blocked.shape:
         raise ValueError(
             f"logits shape {logits.shape} does not match mask shape {blocked.shape}"

@@ -170,6 +170,32 @@ def test_curate_unbounded_caption_frames_exit_1(tmp_path, capsys, t1, fps):
     assert not (tmp_path / "out" / "v.jsonl").exists()
 
 
+def test_curate_caption_frame_error_names_file_and_line(tmp_path, capsys):
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    (src / "a.jsonl").write_text(json.dumps(
+        {"video_id": "a", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    (src / "b.jsonl").write_text("\n".join(json.dumps(line) for line in (
+        {"video_id": "p", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]},
+        {"video_id": "b", "sentences": [{"text": "a.", "t0": 0.0, "t1": 1e6}]})))
+    assert run(["curate", "--in", str(src), "--out", str(out),
+                "--placeholder-captions", "--fps", "0.1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src / 'b.jsonl'} line 2: clip 'b' 0-1e+06s needs more than "
+        "1000 caption frames at fps 0.1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fps", ["nan", "0", "-1", "inf"])
+def test_curate_bad_fps_exits_1_before_reading(tmp_path, capsys, fps):
+    # the flag is checked before the (missing) input directory is opened,
+    # so the error is the flag's, not an i/o error or a line's
+    assert run(["curate", "--in", str(tmp_path / "missing"), "--out",
+                str(tmp_path / "out"), "--fps", fps]) == 1
+    assert capsys.readouterr().err == (
+        f"error: fps must be finite and positive, got {float(fps)}\n")
+
+
 @pytest.mark.parametrize("scales", ["nan,30,60", "-1,0,5", "inf,inf,inf", "13,30,0",
                                     "13,30", "13,30,60,90"])
 def test_curate_degenerate_scales_exit_1(tmp_path, capsys, scales):

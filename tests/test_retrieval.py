@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -7,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from hta import retrieval
 from hta.oracles import brute_force_ranks
-from hta.retrieval import (_row_blocks, _score_blocks, dual_softmax, evaluate,
-                           metrics_from_ranks, paired_ranks, ranks, similarity)
+from hta.retrieval import (_map_blocks, _row_blocks, _score_blocks, dual_softmax,
+                           evaluate, metrics_from_ranks, paired_ranks, ranks,
+                           similarity)
 
 
 def test_similarity_is_plain_inner_product():
@@ -127,25 +131,144 @@ def grid_pair(seed: int, q: int, dups: int):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 5),
        shape=st.sampled_from(["1", "2", "rows-1", "rows", "rows+1", "2rows+1",
-                              "1000", "1141"]),
+                              "1000", "1352"]),
        alpha=st.none() | st.floats(0.5, 200.0), dups=st.integers(0, 20))
 def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups):
-    # small shapes run with blocks of `rows` rows; 1000 and 1141 use the real
-    # block size (131 and 114 rows; at 1141 the one-row tail joins the last block)
+    # small shapes run with blocks of `rows` rows; 1000 and 1352 give each
+    # thread the one-thread block size (262 and 193 rows; at 1352 the one-row
+    # tail joins the last block). The threads share the budget, so it is
+    # scaled by their number.
     q = {"1": 1, "2": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
-         "2rows+1": 2 * rows + 1, "1000": 1000, "1141": 1141}[shape]
+         "2rows+1": 2 * rows + 1, "1000": 1000, "1352": 1352}[shape]
     q = max(q, 1)
     block = retrieval.BLOCK_ELEMS if q >= 1000 else rows * q
     queries, candidates = grid_pair(seed, q, dups)
     s = similarity(queries, candidates)
     full = s if alpha is None else dual_softmax(s, alpha)
-    with mock.patch.object(retrieval, "BLOCK_ELEMS", block):
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval._workers()):
         got = paired_ranks(queries, candidates, alpha)
-        blocks = [(a, z.copy()) for a, z in _score_blocks(queries, candidates, alpha)]
+        blocks = []
+        _score_blocks(queries, candidates, alpha,
+                      lambda a, z: blocks.append((a, z.copy())))
+        blocks.sort(key=lambda blk: blk[0])
     assert np.array_equal(got, ranks(full))
     assert [a for a, _ in blocks] == [a for a, _ in _row_blocks(q, max(2, block // q))]
     assert all(len(z) >= 2 for _, z in blocks) or q == 1
     assert np.array_equal(np.concatenate([z for _, z in blocks]), full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 8),
+       q=st.sampled_from([2, 3, 9, 17, 25, 41]) | st.integers(2, 80),
+       workers=st.integers(2, 5), alpha=st.none() | st.floats(0.5, 1000.0),
+       dups=st.integers(0, 20))
+def test_paired_ranks_do_not_depend_on_the_thread_count(seed, rows, q, workers,
+                                                        alpha, dups):
+    # one budget of `rows` rows per block on one core: blocks shrink with the
+    # thread count, and q % rows_per_block == 1 leaves a one-row tail to join
+    queries, candidates = grid_pair(seed, q, dups)
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", rows * q):
+        with mock.patch.object(retrieval, "_workers", lambda: 1):
+            one = paired_ranks(queries, candidates, alpha)
+        with mock.patch.object(retrieval, "_workers", lambda: workers):
+            several = paired_ranks(queries, candidates, alpha)
+    assert np.array_equal(one, several)
+
+
+@pytest.mark.parametrize("env, cores, want", [
+    ({}, 4, 1),                                 # BLAS threads on every core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+    ({"MKL_NUM_THREADS": "1"}, 2, 2),
+    ({"OMP_NUM_THREADS": "1"}, 1, 1),           # e.g. taskset -c 0
+    ({"OMP_NUM_THREADS": "8"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),      # 0 means every core
+])
+def test_workers_share_the_cores_with_blas(monkeypatch, env, cores, want):
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(retrieval.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    assert retrieval._workers() == want
+
+
+def run_bounded(fn, *args):
+    """fn(*args) on a thread joined with a timeout, so a deadlock fails the
+    test instead of hanging it; returns the exception fn raised, or None."""
+    raised = []
+
+    def target():
+        try:
+            fn(*args)
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), f"{fn.__name__} did not return"
+    return raised[0] if raised else None
+
+
+def test_map_blocks_hands_results_over_in_block_order():
+    """More threads than cores and a short switch interval: each thread keeps
+    its own buffers, and then() runs one block at a time in block order, so
+    its unlocked read-modify-write loses no update."""
+    blocks = _row_blocks(400, 2)
+    seen, total = [], [0]
+
+    def work(a, b, buf, scratch):
+        buf[:b - a] = a
+        time.sleep(0.0005 * (a % 3))    # blocks finish out of order
+        return int(buf[b - a - 1, 0]), b
+
+    def then(out):
+        seen.append(out)
+        t = total[0]
+        time.sleep(0)
+        total[0] = t + out[1] - out[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_bounded(_map_blocks, blocks, 4, 8, work, then) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == blocks and total[0] == 400
+
+
+@pytest.mark.parametrize("fail_at", ["scores", "ordered", "unordered"])
+def test_no_thread_outlives_a_call(fail_at):
+    """A call that raises in any pass, in any thread, still joins every
+    thread, and none is left waiting for its turn."""
+    queries, candidates = grid_pair(1, 60, 0)
+    before = threading.active_count()
+    calls = 0
+
+    def work(a, b, buf, scratch):
+        nonlocal calls
+        calls += 1
+        if a == 20:
+            raise RuntimeError("boom")
+        return a
+
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", 2 * 60), \
+            mock.patch.object(retrieval, "_workers", lambda: 4):
+        assert run_bounded(paired_ranks, queries, candidates, 10.0) is None
+        if fail_at == "scores":         # a late block's scores are non-finite
+            bad = queries.copy()
+            bad[57, 0] = np.nan
+            exc = run_bounded(paired_ranks, bad, candidates, 10.0)
+            assert isinstance(exc, ValueError) and "non-finite" in str(exc)
+        else:
+            then = (lambda out: None) if fail_at == "ordered" else None
+            exc = run_bounded(_map_blocks, _row_blocks(60, 2), 60, 4, work, then)
+            assert isinstance(exc, RuntimeError)
+            assert calls < 30               # the first error stops the rest
+    assert threading.active_count() == before
 
 
 def test_paired_ranks_match_brute_force_with_ties():
@@ -201,6 +324,19 @@ def test_paired_ranks_non_finite_dual_softmax_raises():
             paired_ranks(q, q, 1e308)
 
 
+@pytest.mark.parametrize("alpha, s01", [(None, "-inf"), (100.0, "-inf"),
+                                        (1e10, "-1e300")])
+def test_paired_ranks_reject_scores_that_overflow(alpha, s01):
+    # S[0, 1] (or alpha * S[0, 1]) is -inf, which the dual softmax's exp would
+    # turn into a finite 0: blocks are checked before re-scoring too
+    big = 1e200 if s01 == "-inf" else 1e150
+    q = np.array([[big, 1.0], [0.0, 1.0], [0.0, 2.0]])
+    c = np.array([[1.0, 0.0], [-big, 1.0], [0.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        paired_ranks(q, c, alpha)
+
+
 def test_paired_ranks_memory_is_o_block():
     q = 3000
     rng = np.random.default_rng(7)
@@ -211,4 +347,19 @@ def test_paired_ranks_memory_is_o_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < q * q * 8 / 10, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_paired_ranks_threads_share_one_memory_budget(workers):
+    q = 3000
+    rng = np.random.default_rng(7)
+    queries, candidates = rng.normal(size=(q, 32)), rng.normal(size=(q, 32))
+    with mock.patch.object(retrieval, "_workers", lambda: workers):
+        tracemalloc.start()
+        try:
+            paired_ranks(queries, candidates, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < q * q * 8 / 10, f"peak {peak} bytes"

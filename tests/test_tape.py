@@ -80,7 +80,7 @@ def test_linear_is_bitwise_matmul_plus_bias():
 
 
 def test_masked_softmax_uniform():
-    p = masked_softmax_value(np.zeros((1, 4)), np.zeros((1, 4)))
+    p = masked_softmax_value(np.zeros((1, 4)), np.zeros((1, 4), bool))
     assert np.allclose(p, 0.25)
 
 
@@ -92,10 +92,20 @@ def test_masked_softmax_blocks_middle():
 
 
 def test_masked_softmax_stabilized():
-    p = masked_softmax_value(np.array([[1000.0, 999.0]]), np.zeros((1, 2)))
+    p = masked_softmax_value(np.array([[1000.0, 999.0]]), np.zeros((1, 2), bool))
     e = math.e
     assert np.allclose(p, [[e / (1 + e), 1 / (1 + e)]])
     assert np.isfinite(p).all()
+
+
+@pytest.mark.parametrize("mask", [np.eye(3), np.eye(3, dtype=np.int64),
+                                  np.zeros((3, 3))])
+def test_masked_softmax_rejects_non_boolean_mask(mask):
+    # a 0/1 "allowed" map would otherwise be read as "blocked" and inverted
+    with pytest.raises(ValueError, match="boolean"):
+        masked_softmax_value(np.zeros((3, 3)), mask)
+    with pytest.raises(ValueError, match="boolean"):
+        Tape().masked_softmax(Tape().constant(np.zeros((3, 3))), mask)
 
 
 def test_masked_softmax_fully_masked_row_raises():
@@ -341,10 +351,10 @@ OPS = {
         lambda t, n: t.layer_norm(n[0], n[1], n[2])),
     "masked_softmax": (
         lambda r: [r.normal(size=(4, 5)), _mask_for(r, (4, 5))],
-        lambda t, n: t.masked_softmax(n[0], t.value(n[1]))),
+        lambda t, n: t.masked_softmax(n[0], t.value(n[1]) != 0)),
     "masked_softmax_batched": (
         lambda r: [r.normal(size=(2, 4, 5)), _mask_for(r, (4, 5))],
-        lambda t, n: t.masked_softmax(n[0], t.value(n[1]))),
+        lambda t, n: t.masked_softmax(n[0], t.value(n[1]) != 0)),
     "normalize_rows": (lambda r: [r.normal(size=(3, 4)) + 0.5],
                        lambda t, n: t.normalize_rows(n[0])),
     "cross_entropy_diag": (lambda r: [r.normal(size=(4, 4))],
