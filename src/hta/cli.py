@@ -54,21 +54,37 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _read_config_file(path) -> dict:
-    """Flat key=value config file; '#' starts a comment. A non-blank line
-    without '=', a key without a value and a repeated key raise ValueError."""
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file; other bytes raise ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_config_file(path, kinds: dict) -> dict:
+    """Flat key=value config file; '#' starts a comment. Each value is parsed
+    by kinds[key]. A non-blank line without '=', a key without a value, a
+    repeated or unknown key and a value its kind rejects raise ValueError
+    naming the file, the line and the key."""
     values = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for n, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         key, eq, val = (part.strip() for part in line.partition("="))
         problem = ("is not key = value" if not (eq and key) else
                    "has no value" if not val else
-                   "is repeated" if key in values else None)
+                   "is repeated" if key in values else
+                   "is not a config key" if key not in kinds else None)
+        where = f"{path} line {n}: {key!r}"
         if problem:
-            raise ValueError(f"{path} line {n}: {key!r} {problem}")
-        values[key] = val
+            raise ValueError(f"{where} {problem}")
+        try:
+            values[key] = kinds[key](val)
+        except ValueError:
+            raise ValueError(f"{where} wants {kinds[key].__name__}, "
+                             f"got {val!r:.80}") from None
     return values
 
 
@@ -77,9 +93,11 @@ def _read_texts(path, vocab: int, context: int) -> tuple[list, list]:
     list holding 1 to `context` token ids, ints in [0, vocab). Anything else
     raises ValueError."""
     try:
-        texts = json.loads(Path(path).read_text())
+        texts = json.loads(_read_text(path))
     except RecursionError as exc:
         raise ValueError(f"{path}: nested too deeply") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if type(texts) is not dict:
         raise ValueError(f"{path}: expected an object with 'subtitles' and 'captions'")
     for key in ("subtitles", "captions"):
@@ -99,15 +117,10 @@ def cmd_train(args) -> int:
     from .tensor_io import read_tensor, save_checkpoint
     from .towers import (TextTowerConfig, VideoTowerConfig, init_text_params,
                          init_video_params)
-    file_cfg = _read_config_file(args.config) if args.config else {}
     fields = dataclasses.fields(TrainConfig)
-    unknown = sorted(set(file_cfg) - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config keys {unknown}")
-    kwargs = {}
+    kinds = {f.name: type(f.default) for f in fields}
+    kwargs = _read_config_file(args.config, kinds) if args.config else {}
     for f in fields:
-        if f.name in file_cfg:
-            kwargs[f.name] = type(f.default)(file_cfg[f.name])
         flag = getattr(args, f.name)
         if flag is not None:            # flags take precedence over the file
             kwargs[f.name] = flag
@@ -182,7 +195,7 @@ def cmd_curate(args) -> int:
     outputs, all_clips = [], []
     for path in sorted(in_dir.glob("*.jsonl")):
         records = []
-        for n, line in enumerate(path.read_text().splitlines(), 1):
+        for n, line in enumerate(_read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
             try:

@@ -6,13 +6,13 @@ of it.
 
 `similarity`, `dual_softmax`, `ranks` and `evaluate` work on the full Q x Q
 matrix and are the reference. `paired_ranks` ranks from the embeddings one
-block of rows at a time, on one thread per core that BLAS leaves free, with
-one O(block) memory budget shared by the threads; `hta eval` uses it. Its
-ranks do not depend on the number of threads. Both paths share the tie rule
-and the softmax steps below. A block's scores can differ from the full
-product's in the last ulp where BLAS splits the product differently, and
-block rows shrink as threads are added, so near-ties may rank differently
-from the reference.
+block of rows at a time (dual softmax takes its column statistics from blocks
+of columns first), on one thread per core that BLAS leaves free, with one
+O(block) memory budget shared by the threads; `hta eval` uses it. Its ranks
+do not depend on the number of threads. Both paths share the tie rule and the
+softmax steps below. A block's scores can differ from the full product's in
+the last ulp where BLAS splits the product differently, and blocks shrink as
+threads are added, so near-ties may rank differently from the reference.
 """
 
 from __future__ import annotations
@@ -150,43 +150,28 @@ def _workers() -> int:
     return 1
 
 
-def _map_blocks(blocks: list[tuple[int, int]], width: int, workers: int,
-                work, then=None) -> None:
-    """Call work(a, b, buf, scratch) for each row block [a, b), on up to
-    `workers` threads, the caller's included. Threads take blocks in order, and
-    each reuses two buffers of the longest block's rows by `width` columns.
-    then(out), if given, gets each block's result one at a time, in block
-    order. The first error stops every thread, and it is raised once all of
-    them have ended."""
-    cond = threading.Condition()
-    todo = iter(enumerate(blocks))
-    turn, error = 0, None
-    rows = max((b - a for a, b in blocks), default=0)
+def _map_blocks(blocks: list[tuple[int, int]], size: int, workers: int, work) -> None:
+    """Call work(a, b, buf, scratch) for each block [a, b), on up to `workers`
+    threads, the caller's included. Each thread reuses two flat buffers of
+    `size` elements. The first error stops every thread, and it is raised once
+    all of them have ended."""
+    lock = threading.Lock()
+    todo, error = iter(blocks), None
 
     def run():
-        nonlocal turn, error
-        buf, scratch = np.empty((2, rows, width))
+        nonlocal error
+        buf, scratch = np.empty((2, size))
         try:
             while True:
-                with cond:
-                    k, (a, b) = next(todo, (-1, (0, 0)))
-                    if k < 0 or error is not None:
+                with lock:
+                    block = next(todo, None)
+                    if block is None or error is not None:
                         return
-                out = work(a, b, buf, scratch)
-                if then is not None:
-                    with cond:
-                        cond.wait_for(lambda: turn == k or error is not None)
-                        if error is not None:
-                            return
-                    then(out)
-                    with cond:
-                        turn += 1
-                        cond.notify_all()
+                work(*block, buf, scratch)
         except BaseException as exc:
-            with cond:
+            with lock:
                 if error is None:
                     error = exc
-                cond.notify_all()
 
     threads = [threading.Thread(target=run)
                for _ in range(min(workers, len(blocks)) - 1)]
@@ -206,64 +191,57 @@ def _score_blocks(queries, candidates, alpha: float | None, use) -> None:
     """Call use(start, block) for the row blocks of similarity(queries,
     candidates), or of its dual_softmax when alpha is given, equal to the rows
     of the full matrix. Calls come from several threads at once, and each
-    block is a view into a buffer that its thread reuses. Dual softmax
-    computes the scores three times: for the column max, for the column sums,
-    and for the block itself. Every pass is exact in any thread order: maxima
-    combine in any order, the column sums add blocks in block order, and each
-    block of the last pass is independent of the others."""
+    block is a view into a buffer that its thread reuses. Dual softmax first
+    takes the column max and column sums from column blocks, alpha times the
+    transpose of similarity(candidates[a:b], queries), whose axis-0
+    reductions add the rows in index order as dual_softmax does; so it
+    computes the scores twice. Every block of either pass writes only its own
+    slice, so no pass depends on the thread order."""
     q, c = _pair(queries, candidates)
     if alpha is not None:
         _check_alpha(alpha)
     _check_square((len(q), len(c)), "paired evaluation")
     n, workers = len(q), _workers()
-    # the threads share one budget of BLOCK_ELEMS scores
+    # the threads share one budget of BLOCK_ELEMS scores; a column block is as
+    # wide as a row block is high, and no block is one row or column thin
     blocks = _row_blocks(n, max(2, BLOCK_ELEMS // max(workers * n, 1)))
-
-    def scores(a, b, buf):
-        z = similarity(q[a:b], c, out=buf[:b - a])
-        if alpha is not None:
-            z *= alpha
-        return z
+    size = n * max((b - a for a, b in blocks), default=0)
 
     if alpha is not None:
-        def block_max(a, b, buf, scratch):
-            z = scores(a, b, buf)
+        colmax, colsum = np.empty(n), np.empty(n)
+
+        def columns(a, b, buf, scratch):
+            # rows a:b of S^T: BLAS rounds them as it rounds a row block
+            zt = similarity(c[a:b], q, out=buf[:n * (b - a)].reshape(b - a, n))
+            z = np.multiply(zt.T, alpha, out=scratch[:zt.size].reshape(n, b - a))
             _check_finite(z)          # also catches an alpha*S that overflows
-            return z.max(axis=0)
+            z.max(axis=0, out=colmax[a:b])
+            _exp_shifted(z, colmax[a:b], z).sum(axis=0, out=colsum[a:b])
 
-        def block_exp(a, b, buf, scratch):
-            return _exp_shifted(scores(a, b, buf), colmax, scratch[:b - a])
+        _map_blocks(blocks, size, workers, columns)
 
-        def add_rows(e):
-            # the bits of `colsum += row` row by row in index order: row 0
-            # takes the running sum, and numpy's axis-0 sum adds rows in order
-            e[0] += colsum
-            e.sum(axis=0, out=colsum)
-
-        colmax, colsum = np.full(n, -np.inf), np.zeros(n)
-        _map_blocks(blocks, n, workers, block_max,
-                    lambda m: np.maximum(colmax, m, out=colmax))
-        _map_blocks(blocks, n, workers, block_exp, add_rows)
-
-    def score(a, b, buf, scratch):
-        z = scores(a, b, buf)
+    def rows(a, b, buf, scratch):
+        z = similarity(q[a:b], c, out=buf[:n * (b - a)].reshape(b - a, n))
         if alpha is not None:
-            z = _dual_softmax_rows(z, colmax, colsum, scratch[:b - a])
+            z *= alpha
+            z = _dual_softmax_rows(z, colmax, colsum, scratch[:z.size].reshape(z.shape))
         use(a, z)
 
-    _map_blocks(blocks, n, workers, score)
+    _map_blocks(blocks, size, workers, rows)
 
 
 def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
                  alpha: float | None = None) -> np.ndarray:
     """ranks(similarity(queries, candidates)), or the ranks of its
-    dual_softmax with this alpha, computed one block of rows at a time on
-    _workers() threads: about BLOCK_ELEMS scores in flight in all and at
-    least two rows per block. The ranks do not depend on the number of
-    threads. They equal the full-matrix ranks wherever BLAS rounds each
-    block's product as it rounds the full one (exactly representable
-    products always; OpenBLAS 0.3.31 at Q = 1k and 5k with the block rows of
-    1, 2 and 4 threads); otherwise near-ties may rank differently."""
+    dual_softmax with this alpha, from blocks of at least two rows (or, for
+    the column statistics, columns) on _workers() threads, about BLOCK_ELEMS
+    scores in flight in all. The ranks do not depend on the number of threads.
+    They equal the full-matrix ranks wherever BLAS rounds each block's product
+    as it rounds the full one: always for exactly representable products, and
+    on OpenBLAS 0.3.31 at Q = 1k and 5k with 1, 2 and 4 threads. One column
+    block that spans every column is the transposed product, which can differ
+    in the last ulp (Q = 300, 363 and 500 on one thread). Otherwise near-ties
+    may rank differently."""
     q, c = _pair(queries, candidates)
     r = np.empty(len(q), dtype=np.int64)
 

@@ -109,9 +109,11 @@ def load_checkpoint(directory):
     tensor of that shape, raises ValueError."""
     d = Path(directory)
     try:
-        manifest = json.loads((d / "manifest.json").read_text())
+        manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
     except RecursionError as exc:
         raise ValueError(f"{d}: manifest.json is nested too deeply") from exc
+    except ValueError as exc:               # not UTF-8, or not JSON
+        raise ValueError(f"{d / 'manifest.json'}: {exc}") from exc
     if type(manifest) is not dict or type(manifest.get("params")) is not dict \
             or type(manifest.get("config", {})) is not dict:
         raise ValueError(f"{d}: manifest.json needs a 'params' object and an "

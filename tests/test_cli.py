@@ -11,7 +11,7 @@ from hta import alignment, datapipe, selftest
 from hta.alignment import TrainConfig
 from hta.cli import run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
-from hta.tensor_io import write_tensor
+from hta.tensor_io import load_checkpoint, write_tensor
 
 
 def test_mask_dump_csv_stdout(capsys):
@@ -314,7 +314,8 @@ def test_train_config_unknown_key_exits_1(tmp_path, capsys):
     ("# comment\n\nbase_lr = 1e-3\nbatch_size =   # no value\n", 4, "batch_size"),
     ("steps=2\nsteps=3\n", 2, "steps"),
     ("= 3\n", 1, ""),
-], ids=("no =", "no value", "repeated", "no key"))
+    ("base_lr = 1e-3\nsteps = abc\n", 2, "steps"),
+], ids=("no =", "no value", "repeated", "no key", "bad value"))
 def test_train_config_malformed_line_exits_1(tmp_path, capsys, text, line, key):
     model = small_dataset(tmp_path / "data")
     cfg = tmp_path / "train.cfg"
@@ -323,6 +324,33 @@ def test_train_config_malformed_line_exits_1(tmp_path, capsys, text, line, key):
                 "--out", str(tmp_path / "o"), *model]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg} line {line}: {key!r} ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, data", [
+    ("data/texts.json", b'{"subtitles": [[1]], "cap'),
+    ("data/texts.json", b'{"subtitles": [[1]], "captions": [["\xff"]]}'),
+    ("ckpt/manifest.json", b'{"params": {"a": '),
+    ("in/v.jsonl", b'{"video_id": "v", "sentences": []}\n"\xff"\n'),
+    ("train.cfg", b"steps = 2  # \xff\n"),
+], ids=("truncated texts", "texts not utf-8", "truncated manifest",
+        "transcript not utf-8", "config not utf-8"))
+def test_untrusted_file_errors_name_the_file(tmp_path, capsys, name, data):
+    model = small_dataset(tmp_path / "data")
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    if name.startswith("ckpt/"):        # no verb loads a checkpoint
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path.parent)
+        err = f"error: {exc.value}\n"
+    else:
+        argv = (["curate", "--in", str(path.parent)] if name.startswith("in/") else
+                ["train", "--data", str(tmp_path / "data"), *model]
+                + (["--config", str(path)] if name == "train.cfg" else []))
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -213,37 +213,46 @@ def run_bounded(fn, *args):
     return raised[0] if raised else None
 
 
-def test_map_blocks_hands_results_over_in_block_order():
-    """More threads than cores and a short switch interval: each thread keeps
-    its own buffers, and then() runs one block at a time in block order, so
-    its unlocked read-modify-write loses no update."""
+def test_map_blocks_threads_keep_their_own_buffers():
+    """More threads than cores and a short switch interval: every block runs
+    once, on buffers of `size` elements, and what a block writes into its
+    thread's two buffers is still there after other threads have run."""
     blocks = _row_blocks(400, 2)
-    seen, total = [], [0]
+    seen, clobbered = [], []
 
     def work(a, b, buf, scratch):
-        buf[:b - a] = a
+        buf[:], scratch[:] = a, -a - 1
         time.sleep(0.0005 * (a % 3))    # blocks finish out of order
-        return int(buf[b - a - 1, 0]), b
-
-    def then(out):
-        seen.append(out)
-        t = total[0]
-        time.sleep(0)
-        total[0] = t + out[1] - out[0]
+        if buf.shape != (8,) or (buf != a).any() or (scratch != -a - 1).any():
+            clobbered.append(a)
+        seen.append((a, b))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert run_bounded(_map_blocks, blocks, 4, 8, work, then) is None
+        assert run_bounded(_map_blocks, blocks, 8, 8, work) is None
     finally:
         sys.setswitchinterval(interval)
-    assert seen == blocks and total[0] == 400
+    assert sorted(seen) == blocks and clobbered == []
 
 
-@pytest.mark.parametrize("fail_at", ["scores", "ordered", "unordered"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alpha, passes", [(None, 1), (100.0, 2)])
+def test_dual_softmax_computes_the_scores_twice(workers, alpha, passes):
+    # one pass of column blocks for the column statistics, one of row blocks
+    queries, candidates = grid_pair(2, 50, 0)
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", 12 * 50), \
+            mock.patch.object(retrieval, "_workers", lambda: workers), \
+            mock.patch.object(retrieval, "similarity", wraps=similarity) as sim:
+        paired_ranks(queries, candidates, alpha)
+    # call_args_list, not call_count: its append does not race between threads
+    assert len(sim.call_args_list) == passes * len(_row_blocks(50, 12 // workers))
+
+
+@pytest.mark.parametrize("fail_at", ["scores", "unordered"])
 def test_no_thread_outlives_a_call(fail_at):
     """A call that raises in any pass, in any thread, still joins every
-    thread, and none is left waiting for its turn."""
+    thread."""
     queries, candidates = grid_pair(1, 60, 0)
     before = threading.active_count()
     calls = 0
@@ -253,7 +262,6 @@ def test_no_thread_outlives_a_call(fail_at):
         calls += 1
         if a == 20:
             raise RuntimeError("boom")
-        return a
 
     with mock.patch.object(retrieval, "BLOCK_ELEMS", 2 * 60), \
             mock.patch.object(retrieval, "_workers", lambda: 4):
@@ -263,9 +271,8 @@ def test_no_thread_outlives_a_call(fail_at):
             bad[57, 0] = np.nan
             exc = run_bounded(paired_ranks, bad, candidates, 10.0)
             assert isinstance(exc, ValueError) and "non-finite" in str(exc)
-        else:
-            then = (lambda out: None) if fail_at == "ordered" else None
-            exc = run_bounded(_map_blocks, _row_blocks(60, 2), 60, 4, work, then)
+        else:                           # a block's own work raises
+            exc = run_bounded(_map_blocks, _row_blocks(60, 2), 120, 4, work)
             assert isinstance(exc, RuntimeError)
             assert calls < 30               # the first error stops the rest
     assert threading.active_count() == before
