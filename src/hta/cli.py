@@ -192,6 +192,9 @@ def cmd_curate(args) -> int:
     spec = datapipe.SummarizerSpec(endpoint=endpoint)
     in_dir, out_dir = Path(args.in_dir), Path(args.out_dir)
     os.listdir(in_dir)      # FileNotFoundError or NotADirectoryError: exit 2
+    if os.path.realpath(out_dir) == os.path.realpath(in_dir):
+        raise ValueError(f"--out {out_dir} is the --in directory; its transcripts "
+                         "would be overwritten")
     outputs, all_clips = [], []
     for path in sorted(in_dir.glob("*.jsonl")):
         records = []
@@ -214,12 +217,12 @@ def cmd_curate(args) -> int:
         all_clips.extend(records)
     if not all_clips:
         raise ValueError(f"no transcripts found in {in_dir}")
+    table = datapipe.stats(all_clips)
     # every file has parsed: a contract error above leaves no partial output
     out_dir.mkdir(parents=True, exist_ok=True)
     for out_path, records in outputs:
         out_path.write_text(
             "\n".join(datapipe.clip_to_json(c) for c in records) + "\n")
-    table = datapipe.stats(all_clips)
     (out_dir / "stats.json").write_text(json.dumps(table, indent=2))
     _write_manifest(out_dir / "clips", vars(args), args.seed)
     print(json.dumps(table, indent=2))

@@ -4,7 +4,8 @@ extraction, low-FPS caption frame scheduling, and pluggable summarization.
 Transcripts arrive as JSON lines, either word-level
 {"video_id": ..., "words": [{"w": ..., "t0": ..., "t1": ...}, ...]} or
 pre-segmented {"video_id": ..., "sentences": [{"text", "t0", "t1"}, ...]}.
-Output is one JSON line per ClipRecord.
+One pass over each list checks and segments it, and the first faulty item
+decides the error. Output is one JSON line per ClipRecord.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class TranscriptSentence:
         if self.end <= self.start:
             raise ValueError(f"sentence end {self.end} <= start {self.start}")
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class ClipRecord:
@@ -78,39 +75,50 @@ class SummarizerSpec:
 TERMINALS = (".", "!", "?")
 
 
-def segment(words: list[dict]) -> list[TranscriptSentence]:
-    """Split word-level transcript into sentences at terminal punctuation.
+def segment(words: list[dict], where: str = "words") -> list[TranscriptSentence]:
+    """Split a word-level transcript into sentences at terminal punctuation.
 
-    Each word is {"w": str, "t0": float, "t1": float} with monotone times.
-    A trailing run without terminal punctuation becomes the last sentence.
+    Each word is {"w": str, "t0": time, "t1": time}, checked as `_sentences`
+    documents; the first faulty word raises ValueError, and `where` names the
+    list in that error. A trailing run without terminal punctuation becomes
+    the last sentence.
     """
-    _check_order(words, "word")
-    sentences = []
-    buf: list[dict] = []
-    for w in words:
-        buf.append(w)
-        if w["w"].rstrip().endswith(TERMINALS):
-            sentences.append(_flush(buf))
+    return _sentences(words, "w", where)
+
+
+def _sentences(items, text_key: str, where: str) -> list[TranscriptSentence]:
+    """The one reader of both transcript forms, one pass over items.
+
+    items must be a list of {text_key: str, "t0": time, "t1": time} objects,
+    where a time is a finite int or float (not a bool). Each item ends no
+    earlier than it starts and starts no earlier than the item before it;
+    overlapping that item is fine. The first faulty item raises ValueError.
+    A pre-segmented item ("text") is one sentence; words ("w") close one at
+    terminal punctuation. Runs once per word, so the checks are inline.
+    """
+    if type(items) is not list:
+        raise ValueError(f"{where}: expected a list, got {items!r:.80}")
+    noun, each = ("sentence", True) if text_key == "text" else ("word", False)
+    big, prev, buf, sentences = sys.float_info.max, -math.inf, [], []
+    for i, item in enumerate(items):
+        if not (type(item) is dict and type(text := item.get(text_key)) is str
+                and type(t0 := item.get("t0")) in (int, float)
+                and type(t1 := item.get("t1")) in (int, float)
+                and -big <= t0 <= big and -big <= t1 <= big):   # False for NaN
+            raise ValueError(f"{where} item {i}: expected {{{text_key!r}: str, "
+                             f"'t0': number, 't1': number}}, got {item!r:.80}")
+        if t1 < t0 or t0 < prev:
+            raise ValueError(f"non-monotone timestamps at {noun} {i}")
+        if not buf:
+            start = t0
+        prev = t0
+        buf.append(text)
+        if each or text.rstrip().endswith(TERMINALS):
+            sentences.append(TranscriptSentence(" ".join(buf), start, t1))
             buf = []
     if buf:
-        sentences.append(_flush(buf))
+        sentences.append(TranscriptSentence(" ".join(buf), start, t1))
     return sentences
-
-
-def _check_order(items: list[dict], what: str) -> None:
-    """Each item ends no earlier than it starts and starts no earlier than the
-    item before it; overlapping that item is fine. Both transcript forms, words
-    and pre-segmented sentences, are held to this rule."""
-    prev_start = -math.inf
-    for i, item in enumerate(items):
-        if item["t1"] < item["t0"] or item["t0"] < prev_start:
-            raise ValueError(f"non-monotone timestamps at {what} {i}")
-        prev_start = item["t0"]
-
-
-def _flush(buf: list[dict]) -> TranscriptSentence:
-    return TranscriptSentence(" ".join(w["w"] for w in buf),
-                              buf[0]["t0"], buf[-1]["t1"])
 
 
 def check_scales(scales: tuple[float, ...]) -> None:
@@ -225,11 +233,14 @@ def _http_post(spec: SummarizerSpec, payload: dict) -> str:
                                      data=json.dumps(payload).encode(),
                                      headers=headers)
         with urllib.request.urlopen(req, timeout=30) as resp:
-            return json.loads(resp.read())["output"]
+            output = json.loads(resp.read())["output"]
     # HTTP and URL errors and timeouts are OSErrors; bad JSON is a ValueError
     except (OSError, http.client.HTTPException, KeyError, TypeError,
             ValueError) as exc:
         raise TransportError(str(exc)) from exc
+    if type(output) is not str:
+        raise TransportError(f"summarizer output is not a string: {output!r:.80}")
+    return output
 
 
 def summarize_clips(clips: list[ClipRecord], spec: SummarizerSpec,
@@ -274,24 +285,6 @@ def stats(clips: list[ClipRecord]) -> dict[str, dict[str, float]]:
 
 # -- JSONL plumbing -----------------------------------------------------------
 
-def _checked_items(items, text_key: str, where: str) -> list[dict]:
-    """items, if it is a list of {text_key: str, "t0": time, "t1": time}
-    objects, where a time is a finite int or float (not a bool); anything else
-    raises ValueError. Runs once per word, so the checks are inline."""
-    if type(items) is not list:
-        raise ValueError(f"{where}: expected a list, got {items!r:.80}")
-    big = sys.float_info.max
-    for i, item in enumerate(items):
-        if type(item) is dict and type(item.get(text_key)) is str:
-            t0, t1 = item.get("t0"), item.get("t1")
-            if (type(t0) in (int, float) and type(t1) in (int, float)
-                    and abs(t0) <= big and abs(t1) <= big):    # False for NaN
-                continue
-        raise ValueError(f"{where} item {i}: expected {{{text_key!r}: str, "
-                         f"'t0': number, 't1': number}}, got {item!r:.80}")
-    return items
-
-
 def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
     """Parse one transcript line; a malformed line raises ValueError."""
     try:
@@ -304,11 +297,9 @@ def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
     if type(vid) is not str:
         raise ValueError(f"video_id is not a string: {vid!r:.80}")
     if "sentences" in rec:
-        items = _checked_items(rec["sentences"], "text", f"video {vid!r} sentences")
-        _check_order(items, "sentence")
-        sents = [TranscriptSentence(s["text"], s["t0"], s["t1"]) for s in items]
+        sents = _sentences(rec["sentences"], "text", f"video {vid!r} sentences")
     elif "words" in rec:
-        sents = segment(_checked_items(rec["words"], "w", f"video {vid!r} words"))
+        sents = segment(rec["words"], f"video {vid!r} words")
     else:
         raise ValueError("transcript line has neither 'sentences' nor 'words'")
     return vid, sents

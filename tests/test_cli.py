@@ -128,6 +128,22 @@ def test_curate_transcript_error_names_file_and_line(tmp_path, capsys, words, er
     assert capsys.readouterr().err == f"error: {src / 'b.jsonl'} line 2: {err}\n"
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+def test_curate_out_may_not_be_in(tmp_path, capsys, spelling):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "t.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    out = {"same": str(src), "dotdot": str(src / ".." / "in"),
+           "symlink": str(tmp_path / "link")}[spelling]
+    (tmp_path / "link").symlink_to(src)
+    before = tree(tmp_path)
+    assert run(["curate", "--in", str(src), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("argv, err", [
     (["train", "--data", "x", "--out", "y", "--steps", "abc"],
      "argument --steps: invalid int value: 'abc'"),

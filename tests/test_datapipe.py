@@ -58,6 +58,8 @@ def test_segment_empty_and_errors():
     with pytest.raises(ValueError, match="monotone"):
         segment([{"w": "a.", "t0": 1.0, "t1": 2.0},
                  {"w": "b.", "t0": 0.5, "t1": 2.0}])
+    with pytest.raises(ValueError, match="words item 0: expected"):
+        segment([{"w": 5, "t0": 0.0, "t1": 1.0}])
 
 
 def test_sentence_validation():
@@ -294,6 +296,20 @@ def test_malformed_transcript_line_raises_value_error(tmp_path, capsys, line):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form, items, err", [
+    ("words", [{"w": "a", "t0": 5, "t1": 6}, {"w": "b.", "t0": 1, "t1": 2},
+               {"w": 7, "t0": 3, "t1": 4}], "non-monotone timestamps at word 1"),
+    ("sentences", [{"text": "a.", "t0": 5, "t1": 6}, {"text": "b.", "t0": 1, "t1": 2},
+                   {"text": "c.", "t0": 3}], "non-monotone timestamps at sentence 1"),
+    ("sentences", [{"text": "a.", "t0": 1, "t1": 1}, {"text": "b.", "t0": 0, "t1": 2}],
+     "sentence end 1 <= start 1"),
+], ids=("words", "sentences", "empty sentence"))
+def test_first_faulty_item_decides_the_error(form, items, err):
+    with pytest.raises(ValueError) as exc:
+        read_transcript_line(json.dumps({"video_id": "v", form: items}))
+    assert str(exc.value) == err
+
+
 SCHEMA_KEYS = st.sampled_from(["video_id", "words", "sentences", "w", "text",
                                "t0", "t1"]) | st.text(max_size=3)
 JSON_VALUES = st.recursive(
@@ -347,7 +363,8 @@ def test_clip_json_roundtrip():
 
 class _Summarizer(BaseHTTPRequestHandler):
     """POST /ok echoes a summary; /fail answers 500; /bad answers non-JSON;
-    /empty answers JSON without "output". Requests are logged on the server."""
+    /empty answers JSON without "output"; /null and /number answer an "output"
+    that is not a string. Requests are logged on the server."""
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -356,7 +373,9 @@ class _Summarizer(BaseHTTPRequestHandler):
         status, reply = {"/ok": (200, json.dumps({"output": "short summary"})),
                          "/fail": (500, "server error"),
                          "/bad": (200, "{not json"),
-                         "/empty": (200, "{}")}[self.path]
+                         "/empty": (200, "{}"),
+                         "/null": (200, '{"output": null}'),
+                         "/number": (200, '{"output": 5}')}[self.path]
         self.send_response(status)
         self.end_headers()
         self.wfile.write(reply.encode())
@@ -386,7 +405,7 @@ def test_http_post_success_sends_json_and_bearer(summarizer):
     assert seen == [("/ok", "Bearer k3y", payload)]
 
 
-@pytest.mark.parametrize("path", ["/fail", "/bad", "/empty"])
+@pytest.mark.parametrize("path", ["/fail", "/bad", "/empty", "/null", "/number"])
 def test_http_post_failures_are_transport_errors(summarizer, path):
     url, seen = summarizer
     spec = SummarizerSpec(endpoint=url + path)
@@ -399,3 +418,17 @@ def test_http_post_unreachable_and_bad_url_are_transport_errors():
     for url in ("http://127.0.0.1:1/", "not a url"):
         with pytest.raises(TransportError):
             _http_post(SummarizerSpec(endpoint=url), {})
+
+
+def test_curate_with_non_string_summaries_falls_back(summarizer, tmp_path, capsys):
+    url, seen = summarizer
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "v.jsonl").write_text(json.dumps(
+        {"video_id": "v", "sentences": [{"text": "a b c.", "t0": 0.0, "t1": 5.0}]}))
+    out = tmp_path / "out"
+    assert run(["curate", "--in", str(tmp_path / "in"), "--out", str(out),
+                "--summarizer", url + "/null"]) == 0
+    clips = [json.loads(line) for line in (out / "v.jsonl").read_text().splitlines()]
+    assert [c["summarized_subtitle"] for c in clips] == ["a b c."] * 3
+    assert len(seen) == 4       # medium and long: one retry each, then the fallback
+    assert json.loads((out / "stats.json").read_text())["long"]["count"] == 1
