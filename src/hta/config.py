@@ -1,12 +1,32 @@
 """Training configuration and the divergence error: what the command line
 needs to build its parser and map errors to exit codes, kept apart from the
 trainer so that neither compiles the towers. `hta.alignment` re-exports all
-three names."""
+three names. Also two helpers that several verbs share: reading a UTF-8
+input file, and counting the cores this process may use."""
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 input file; other bytes raise ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, or every core
+    where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # not on macOS or Windows
+        return os.cpu_count() or 1
 
 
 class DivergenceError(RuntimeError):

@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .config import read_text
+
 log = logging.getLogger(__name__)
 
 SCALE_NAMES = ("short", "medium", "long")
@@ -94,12 +96,15 @@ def _sentences(items, text_key: str, where: str) -> list[TranscriptSentence]:
     earlier than it starts and starts no earlier than the item before it;
     overlapping that item is fine. The first faulty item raises ValueError.
     A pre-segmented item ("text") is one sentence; words ("w") close one at
-    terminal punctuation. Runs once per word, so the checks are inline.
+    terminal punctuation and at the last word. A sentence must end after it
+    starts; the item that closes one that does not is the faulty item. Runs
+    once per word, so the checks are inline.
     """
     if type(items) is not list:
         raise ValueError(f"{where}: expected a list, got {items!r:.80}")
     noun, each = ("sentence", True) if text_key == "text" else ("word", False)
     big, prev, buf, sentences = sys.float_info.max, -math.inf, [], []
+    last = len(items) - 1
     for i, item in enumerate(items):
         if not (type(item) is dict and type(text := item.get(text_key)) is str
                 and type(t0 := item.get("t0")) in (int, float)
@@ -113,11 +118,12 @@ def _sentences(items, text_key: str, where: str) -> list[TranscriptSentence]:
             start = t0
         prev = t0
         buf.append(text)
-        if each or text.rstrip().endswith(TERMINALS):
-            sentences.append(TranscriptSentence(" ".join(buf), start, t1))
+        if each or i == last or text.rstrip().endswith(TERMINALS):
+            try:
+                sentences.append(TranscriptSentence(" ".join(buf), start, t1))
+            except ValueError as exc:       # a sentence that lasts no time
+                raise ValueError(f"{where} item {i}: {exc}") from exc
             buf = []
-    if buf:
-        sentences.append(TranscriptSentence(" ".join(buf), start, t1))
     return sentences
 
 
@@ -196,30 +202,31 @@ def caption_frames(clip: ClipRecord, fps: float) -> list[float]:
     return [clip.start + k / fps for k in range(max(1, math.floor(span) + 1))]
 
 
-def _fallback_summary(texts: list[str]) -> str:
-    words = " ".join(texts).split()
-    return " ".join(words[:WORD_CAP])
+def _first_words(text: str) -> str:
+    """The first WORD_CAP words of text, joined by single spaces."""
+    return " ".join(text.split(maxsplit=WORD_CAP)[:WORD_CAP])
 
 
 def summarize(texts: list[str], spec: SummarizerSpec,
               post=None) -> str:
     """Summarize texts per the spec; external endpoint gets one retry, then
-    the extractive fallback. `post` injects the HTTP transport for tests."""
+    the extractive fallback. Either answer is cut to its first WORD_CAP
+    words. `post` injects the HTTP transport for tests."""
     if not texts:
         raise ValueError("nothing to summarize")
     if not spec.endpoint:
-        return _fallback_summary(texts)
+        return _first_words(" ".join(texts))
     payload = {"prompt": SUMMARIZE_PROMPT, "input": "\n".join(texts)}
     post = post or _http_post
     last = None
     for attempt in range(2):
         try:
-            return post(spec, payload)
+            return _first_words(post(spec, payload))
         except TransportError as exc:
             last = exc
             log.warning("summarizer attempt %d failed: %s", attempt + 1, exc)
     log.warning("summarizer unreachable (%s); using extractive fallback", last)
-    return _fallback_summary(texts)
+    return _first_words(" ".join(texts))
 
 
 def _http_post(spec: SummarizerSpec, payload: dict) -> str:
@@ -257,29 +264,34 @@ def summarize_clips(clips: list[ClipRecord], spec: SummarizerSpec,
             clip.summarized_caption = summarize([clip.caption], spec, post=post)
 
 
-def stats(clips: list[ClipRecord]) -> dict[str, dict[str, float]]:
-    """Per-scale table: count, mean duration, mean sentence count, mean word
-    counts before/after summarization."""
-    if not clips:
+# What `stats` averages per scale, in clip_counts order after the scale.
+MEANS = ("mean_duration", "mean_sentences", "mean_subtitle_words",
+         "mean_summarized_subtitle_words", "mean_caption_words",
+         "mean_summarized_caption_words")
+
+
+def clip_counts(clip: ClipRecord) -> tuple:
+    """The numbers `stats` takes from a clip: its scale, then one per MEANS
+    entry (duration, sentence count, and the word counts of the subtitle
+    and caption before and after summarization)."""
+    a, b = clip.sentence_range
+    return (clip.scale, clip.duration, b - a + 1, len(clip.subtitle.split()),
+            len(clip.summarized_subtitle.split()), len(clip.caption.split()),
+            len(clip.summarized_caption.split()))
+
+
+def stats(counts: list[tuple]) -> dict[str, dict[str, float]]:
+    """Per-scale table of clip_counts rows: the count, and each MEANS entry
+    summed in row order and divided by the count."""
+    if not counts:
         raise ValueError("no clips")
     table = {}
     for name in SCALE_NAMES:
-        group = [c for c in clips if c.scale == name]
-        if not group:
-            continue
-        n = len(group)
-        table[name] = {
-            "count": n,
-            "mean_duration": sum(c.duration for c in group) / n,
-            "mean_sentences": sum(c.sentence_range[1] - c.sentence_range[0] + 1
-                                  for c in group) / n,
-            "mean_subtitle_words": sum(len(c.subtitle.split()) for c in group) / n,
-            "mean_summarized_subtitle_words":
-                sum(len(c.summarized_subtitle.split()) for c in group) / n,
-            "mean_caption_words": sum(len(c.caption.split()) for c in group) / n,
-            "mean_summarized_caption_words":
-                sum(len(c.summarized_caption.split()) for c in group) / n,
-        }
+        group = [row[1:] for row in counts if row[0] == name]
+        if group:
+            n = len(group)
+            table[name] = {"count": n, **{key: sum(column) / n for key, column
+                                          in zip(MEANS, zip(*group))}}
     return table
 
 
@@ -307,3 +319,29 @@ def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
 
 def clip_to_json(clip: ClipRecord) -> str:
     return json.dumps(vars(clip))
+
+
+def curate_file(path, scales: tuple[float, ...], spec: SummarizerSpec,
+                caption_fps: float | None = None) -> tuple[str, list[tuple]]:
+    """Curate one transcript file: each line's clips at these scales, with
+    placeholder captions (the frame schedule) when caption_fps is given,
+    then summarized. Returns the file's JSONL text and clip_counts of each
+    clip, in order. A contract error raises ValueError naming the file and
+    the line."""
+    records = []
+    for n, line in enumerate(read_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            vid, sentences = read_transcript_line(line)
+            clips = extract_clips(vid, sentences, scales)
+            if caption_fps is not None:
+                for clip in clips:
+                    clip.caption = " ".join(f"frame at {tstamp:.1f}s" for tstamp
+                                            in caption_frames(clip, caption_fps))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {n}: {exc}") from exc
+        summarize_clips(clips, spec)
+        records.extend(clips)
+    return ("\n".join(map(clip_to_json, records)) + "\n",
+            [clip_counts(clip) for clip in records])

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import usable_cores
+
 # Scores in flight in `paired_ranks`, shared by its threads: 2 MB of float64.
 # Thinner blocks reread the candidates more often: at Q = 5k on two threads,
 # 26-row blocks ranked about 18% faster than 13-row ones (2-vCPU Xeon,
@@ -133,16 +135,13 @@ def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
 
 
 def _workers() -> int:
-    """Threads for the row blocks: the cores this process may use, divided by
-    the threads each BLAS product starts. OpenBLAS and MKL read that count
-    from these variables when they load and use every core without them, so
-    an unpinned BLAS leaves one thread. (On a 2-core host with OpenBLAS on
-    both cores, two threads made Q = 5k dual-softmax ranking about 1.5x
-    slower: each thread's BLAS threads spin on the cores the other needs.)"""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:              # not on macOS or Windows
-        cores = os.cpu_count() or 1
+    """Threads for the row blocks: usable_cores(), divided by the threads
+    each BLAS product starts. OpenBLAS and MKL read that count from these
+    variables when they load and use every core without them, so an unpinned
+    BLAS leaves one thread. (On a 2-core host with OpenBLAS on both cores,
+    two threads made Q = 5k dual-softmax ranking about 1.5x slower: each
+    thread's BLAS threads spin on the cores the other needs.)"""
+    cores = usable_cores()
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:

@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hta import alignment, datapipe, selftest
+from hta import alignment, config, datapipe, selftest
 from hta.alignment import TrainConfig
 from hta.cli import run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
@@ -114,7 +118,8 @@ def test_curate_input_must_be_a_directory(tmp_path, capsys, kind, code, err):
 @pytest.mark.parametrize("words, err", [
     ([{"w": "a", "t0": 5, "t1": 6}, {"w": "b.", "t0": 1, "t1": 2}],
      "non-monotone timestamps at word 1"),
-    ([{"w": "a.", "t0": 1, "t1": 1}], "sentence end 1 <= start 1"),
+    ([{"w": "a.", "t0": 1, "t1": 1}],
+     "video 'q' words item 0: sentence end 1 <= start 1"),
 ], ids=("order", "empty sentence"))
 def test_curate_transcript_error_names_file_and_line(tmp_path, capsys, words, err):
     src = tmp_path / "in"
@@ -249,6 +254,126 @@ def test_curate_transport_error_exits_2(tmp_path, monkeypatch, capsys):
     assert run(["curate", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "i/o error: summarizer down\n"
     assert not (tmp_path / "out").exists()
+
+
+# -- curate on forked workers ----------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and Path("/proc/self/stat").exists()),
+    reason="curate workers need fork, and the child check reads /proc")
+TEST_PID = os.getpid()
+SUMMARIZE_CLIPS = datapipe.summarize_clips
+
+
+def children() -> list[int]:
+    """Pids whose parent is this process, zombies included."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):      # ended while listed
+            continue
+        if ppid == TEST_PID:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def summarize_unless_down(clips, spec, post=None):
+    """summarize_clips, but a video whose id starts with "down" cannot reach
+    its summarizer."""
+    if clips[0].video_id.startswith("down"):
+        raise datapipe.TransportError(f"summarizer down for {clips[0].video_id}")
+    SUMMARIZE_CLIPS(clips, spec, post)
+
+
+def exit_in_worker(*args):
+    """A per-file function that ends the worker process running it."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("curate_file ran in the test process")
+    os._exit(1)
+
+
+BAD_LINES = ('{"video_id": "bad", "words": 5}', '{"video_id": "bad", "words": [',
+             '{"video_id": "bad", "sentences": [{"text": "a.", "t0": 1, "t1": 1}]}',
+             '{"video_id": "bad", "sentences": [{"text": "a.", "t0": 0, "t1": 1e6}]}')
+
+
+@st.composite
+def transcript_files(draw):
+    """1 to 5 files of 0 to 3 lines. A line is a blank, a transcript in
+    either form, or now and then a fault: a malformed line (exit 1) or a
+    video whose summarizer is down (exit 2)."""
+    files = []
+    for f in range(draw(st.integers(1, 5))):
+        lines = []
+        for n in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["words"] * 4 + ["sentences"] * 4
+                                        + ["blank", "bad", "down"]))
+            if kind == "blank":
+                lines.append("")
+            elif kind == "bad":
+                lines.append(draw(st.sampled_from(BAD_LINES)))
+            else:
+                form = "sentences" if kind == "sentences" else "words"
+                key = "text" if form == "sentences" else "w"
+                t, items = 0.0, []
+                for _ in range(draw(st.integers(1, 8))):
+                    t0 = t + draw(st.sampled_from([0.0, 0.3, 2.5]))
+                    t = t0 + draw(st.floats(0.01, 30.0))
+                    items.append({key: draw(st.sampled_from(["a", "b c", "d.", "e?"])),
+                                  "t0": t0, "t1": t})
+                vid = f"{'down' if kind == 'down' else 'v'}{f}-{n}"
+                lines.append(json.dumps({"video_id": vid, form: items}))
+        files.append(lines)
+    return files
+
+
+@needs_fork
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(transcript_files())
+def test_curate_workers_write_what_one_process_writes(tmp_path_factory, capsys, files):
+    # one process is the reference: three workers write the same bytes and
+    # print the same lines, or fail with the same message and code and write
+    # nothing, and leave no process behind
+    src = tmp_path_factory.mktemp("curate") / "in"
+    src.mkdir()
+    for f, lines in enumerate(files):
+        (src / f"f{f}.jsonl").write_text("\n".join(lines) + "\n")
+    seen = []
+    for cores in (1, 3):
+        out = src.parent / f"out{cores}"
+        with mock.patch.object(config, "usable_cores", lambda: cores), \
+                mock.patch.object(datapipe, "summarize_clips", summarize_unless_down):
+            code = run(["curate", "--in", str(src), "--out", str(out),
+                        "--placeholder-captions"])
+        assert children() == []
+        written = {name: data for name, data in tree(out).items()
+                   if not name.endswith(".manifest.json")} if out.exists() else None
+        assert (code == 0) == (written is not None)
+        seen.append((code, capsys.readouterr(), written))
+    assert seen[1] == seen[0]
+
+
+@needs_fork
+def test_curate_fails_promptly_when_a_worker_dies(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    for name in ("a", "b"):
+        (src / f"{name}.jsonl").write_text(json.dumps(
+            {"video_id": name, "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    monkeypatch.setattr(datapipe, "curate_file", exit_in_worker)
+    monkeypatch.setattr(config, "usable_cores", lambda: 2)
+    codes = []
+    thread = threading.Thread(daemon=True, target=lambda: codes.append(
+        run(["curate", "--in", str(src), "--out", str(tmp_path / "out")])))
+    thread.start()
+    thread.join(60)
+    assert codes == [2], "curate did not return within 60 s"
+    assert capsys.readouterr().err == (
+        f"i/o error: a curate worker ended before it curated {src / 'a.jsonl'}\n")
+    assert not (tmp_path / "out").exists()
+    assert children() == []
 
 
 def test_train_smoke_and_config_precedence(tmp_path, capsys):
@@ -549,15 +674,18 @@ def test_verbs_without_gelu_never_load_scipy(tmp_path):
 
 # The hta modules and the costly stdlib and third-party modules each verb
 # loads beyond `import hta.cli`, which loads hta, hta.cli and hta.config only.
-# No verb here loads the HTTP stack (only an external summarizer does).
-WATCHED = ("hashlib", "logging", "scipy", "urllib.request", "http.client")
+# No verb here loads the HTTP stack (only an external summarizer does), and
+# none loads multiprocessing: curate forks its workers itself.
+WATCHED = ("hashlib", "logging", "scipy", "urllib.request", "http.client",
+           "multiprocessing", "concurrent.futures")
 VERB_MODULES = {
     "import": set(),
     "mask": {"hta.masks"},
     "eval": {"hta.retrieval", "hta.tensor_io"},
     "curate": {"hta.datapipe", "hashlib", "logging"},
     "train": {"hta.alignment", "hta.towers", "hta.masks", "hta.tape", "hta.tensor_io",
-              "hashlib", "logging", "scipy"},       # scipy loads logging
+              "hashlib", "logging", "scipy",        # scipy loads logging and
+              "concurrent.futures"},                # concurrent.futures
     "selftest": {"hta.selftest", "hta.oracles", "hta.masks", "hta.tape", "hta.towers",
                  "hta.retrieval", "hashlib"},     # numpy.random loads hashlib
 }

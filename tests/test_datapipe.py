@@ -13,8 +13,9 @@ from hta.cli import run
 from hta.datapipe import (MAX_CAPTION_FRAMES, SUMMARIZE_PROMPT, WORD_CAP,
                           ClipRecord, SummarizerSpec, TranscriptSentence,
                           TransportError, _http_post, caption_frames,
-                          clip_to_json, extract_clips, read_transcript_line,
-                          segment, stats, summarize, summarize_clips)
+                          clip_counts, clip_to_json, extract_clips,
+                          read_transcript_line, segment, stats, summarize,
+                          summarize_clips)
 
 
 def make_words(texts, dur=1.0):
@@ -198,6 +199,13 @@ def test_external_summarizer_payload_and_output():
     assert seen["input"] == "first text\nsecond text"
 
 
+def test_external_summary_is_cut_to_word_cap():
+    words = [f"w{i}" for i in range(40)]
+    spec = SummarizerSpec(endpoint="http://example/api")
+    out = summarize(["x"], spec, post=lambda spec, payload: " ".join(words))
+    assert out == " ".join(words[:WORD_CAP])
+
+
 def test_external_summarizer_retry_then_success():
     calls = []
 
@@ -240,7 +248,7 @@ def test_stats_fixture():
              ClipRecord("v", (2, 2), 12, 26, "short", "three", caption="c d"),
              ClipRecord("v", (0, 3), 0, 30, "medium", "a b c d")]
     summarize_clips(clips, SummarizerSpec())
-    table = stats(clips)
+    table = stats([clip_counts(c) for c in clips])
     assert set(table) == {"short", "medium"}
     s = table["short"]
     assert s["count"] == 2
@@ -302,8 +310,14 @@ def test_malformed_transcript_line_raises_value_error(tmp_path, capsys, line):
     ("sentences", [{"text": "a.", "t0": 5, "t1": 6}, {"text": "b.", "t0": 1, "t1": 2},
                    {"text": "c.", "t0": 3}], "non-monotone timestamps at sentence 1"),
     ("sentences", [{"text": "a.", "t0": 1, "t1": 1}, {"text": "b.", "t0": 0, "t1": 2}],
-     "sentence end 1 <= start 1"),
-], ids=("words", "sentences", "empty sentence"))
+     "video 'v' sentences item 0: sentence end 1 <= start 1"),
+    ("words", [{"w": "a.", "t0": 0, "t1": 1}, {"w": "b", "t0": 2, "t1": 2},
+               {"w": "c.", "t0": 2, "t1": 2}, {"w": 7, "t0": 1, "t1": 3}],
+     "video 'v' words item 2: sentence end 2 <= start 2"),
+    ("words", [{"w": "a.", "t0": 0, "t1": 1}, {"w": "b", "t0": 3, "t1": 3}],
+     "video 'v' words item 1: sentence end 3 <= start 3"),
+], ids=("words", "sentences", "empty sentence", "empty word sentence",
+        "empty trailing words"))
 def test_first_faulty_item_decides_the_error(form, items, err):
     with pytest.raises(ValueError) as exc:
         read_transcript_line(json.dumps({"video_id": "v", form: items}))
