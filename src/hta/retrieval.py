@@ -4,8 +4,8 @@ Ground truth is the diagonal of a square similarity matrix. Ranks break ties
 pessimistically: a candidate tying with the ground-truth score counts ahead
 of it.
 
-`similarity`, `dual_softmax`, `ranks` and `evaluate` work on the full Q x Q
-matrix and are the reference. `paired_ranks` ranks from the embeddings one
+`similarity`, `dual_softmax` and `ranks` work on the full Q x Q matrix and
+are the reference. `paired_ranks` ranks from the embeddings one
 block of rows at a time (dual softmax takes its column statistics from blocks
 of columns first), on one thread per core that BLAS leaves free, with one
 O(block) memory budget shared by the threads; `hta eval` uses it. Its ranks
@@ -265,7 +265,3 @@ def metrics_from_ranks(r: np.ndarray) -> RetrievalReport:
     mdr = float(order[(q - 1) // 2])   # lower of the two middles for even Q
     return RetrievalReport(r1, r5, r10, (r1 + r5 + r10) / 3.0, mdr,
                            float(r.mean()))
-
-
-def evaluate(s: np.ndarray) -> RetrievalReport:
-    return metrics_from_ranks(ranks(s))

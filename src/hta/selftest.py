@@ -11,7 +11,7 @@ import numpy as np
 
 from .masks import TokenLayout, gst_stacked_mask, slt_mask
 from .oracles import brute_force_ranks, reference_slt_mask, reference_stacked_mask
-from .retrieval import ranks
+from .retrieval import dual_softmax, paired_ranks
 from .tape import Tape, layer_norm_value, masked_softmax_value
 from .towers import VideoTowerConfig, init_video_params, register_params, slt_block
 
@@ -34,7 +34,8 @@ def check_slt_identity(config: VideoTowerConfig, params, inputs) -> str | None:
         pid = register_params(tape, params)
         for l in range(config.L):
             if not np.array_equal(
-                    tape.value(slt_block(tape, tape.constant(z), l, pid, config)), z):
+                    tape.value(slt_block(tape, tape.constant(z[None]), l, pid, config)),
+                    z[None]):
                 return f"SlT layer {l} is not an identity on input {i}"
     return None
 
@@ -76,10 +77,17 @@ def check_masked_weights(cases) -> str | None:
 
 
 def check_ranks(matrices) -> str | None:
-    """retrieval.ranks equals the sort-based brute-force ranker exactly."""
+    """The ranker of `hta eval`, retrieval.paired_ranks, equals the sort-based
+    brute-force ranker exactly, on each square matrix s and on its dual
+    softmax. It ranks s against the identity, since s @ I = s exactly."""
     for i, s in enumerate(matrices):
-        if not np.array_equal(ranks(s), brute_force_ranks(s)):
+        eye = np.eye(len(s))
+        if not np.array_equal(paired_ranks(s, eye), brute_force_ranks(s)):
             return f"ranks differ from the brute-force ranker on matrix {i} {s.shape}"
+        if not np.array_equal(paired_ranks(s, eye, alpha=100.0),
+                              brute_force_ranks(dual_softmax(s, 100.0))):
+            return (f"dual-softmax ranks differ from the brute-force ranker on "
+                    f"matrix {i} {s.shape}")
     return None
 
 

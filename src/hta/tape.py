@@ -162,15 +162,18 @@ class Tape:
         ])
 
     def linear(self, x: Node, w: Node, b: Node) -> Node:
-        """x @ w + b for x [n, k], w [k, m] and b [m], as one node."""
+        """x @ w + b for x [..., k], w [k, m] and b [m], as one node. The
+        leading axes of x are flattened into the rows of one GEMM."""
         xv, wv = x.value, w.value
-        _check_matmul(xv, wv)
-        out = xv @ wv
+        rows = xv.reshape(-1, xv.shape[-1])
+        _check_matmul(rows, wv)
+        out = rows @ wv
         out += b.value
-        return self._push(out, [
-            (x, lambda g, o=wv: g @ o.T),
-            (w, lambda g, o=xv: o.T @ g),
-            (b, lambda g: g.sum(axis=0)),
+        m = wv.shape[1]
+        return self._push(out.reshape(xv.shape[:-1] + (m,)), [
+            (x, lambda g, o=wv, s=xv.shape: (g.reshape(-1, m) @ o.T).reshape(s)),
+            (w, lambda g, o=rows: o.T @ g.reshape(-1, m)),
+            (b, lambda g: g.reshape(-1, m).sum(axis=0)),
         ])
 
     def bmm(self, a: Node, b: Node) -> Node:
@@ -242,16 +245,17 @@ class Tape:
         out, xhat, inv = layer_norm_value(xv, gv, bv)
         d = xv.shape[-1]
 
-        def vjp_x(g, xhat=xhat, inv=inv, gv=gv, d=d):
+        def vjp_x(g, xhat=xhat, inv=inv, gv=gv):
             gh = g * gv
             return inv * (gh - gh.mean(axis=-1, keepdims=True)
                           - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
 
+        # gain and bias gradients sum over all rows in one pass, so their
+        # rounding does not depend on how the rows are split into axes
         return self._push(out, [
             (x, vjp_x),
-            (gain, lambda g, xhat=xhat, s=gv.shape:
-                _unbroadcast(g * xhat, s)),
-            (bias, lambda g, s=bv.shape: _unbroadcast(g, s)),
+            (gain, lambda g, xhat=xhat: (g * xhat).reshape(-1, d).sum(axis=0)),
+            (bias, lambda g: g.reshape(-1, d).sum(axis=0)),
         ])
 
     def masked_softmax(self, logits: Node, blocked: np.ndarray) -> Node:

@@ -10,13 +10,11 @@ video embedding. The text tower is a deliberately simple stand-in:
 embedding + position lookup, mean pool, linear projection, L2 norm.
 
 All forward code is written against a `Tape` so the whole model is
-differentiable end to end. A batch of B clips is a [B*S, d] residual stream,
-clip after clip, so every linear layer, layer norm and GELU acts on plain
-rows. Attention alone regroups the rows into per-clip sequences on a leading
-batch axis: GST attends within each clip's S tokens under one shared S x S
-mask, and SlT attends within each (clip, spatial position) group of T patch
-tokens, which is exactly the SlT mask predicate, so it needs no mask at all.
-Single clips are the B=1 case of the same code path.
+differentiable end to end. A batch of B clips is a [B, S, d] residual stream.
+GST attends within each clip's S tokens under one shared S x S mask, and SlT
+attends within each (clip, spatial position) group of T patch tokens, which
+is exactly the SlT mask predicate, so it needs no mask at all. Single clips
+are the B=1 case of the same code path.
 
 The embedding reads only the final [CLS] rows, so the last GST block takes
 queries from position 0 alone: its attention, output projection, residual
@@ -156,98 +154,85 @@ def _gst_mask(layout: TokenLayout) -> np.ndarray:
 
 def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
                        config: VideoTowerConfig) -> int:
-    """Patch tokens [B*T*N, d]: linear patch projection + spatial and temporal
+    """Patch tokens [B, T*N, d]: linear patch projection + spatial and temporal
     position embeddings."""
     lay = config.layout
-    rows = np.concatenate([patchify(c, config.patch) for c in clips], axis=0)
-    if rows.shape[0] != len(clips) * lay.T * lay.N:
-        raise ValueError(
-            f"clips yield {rows.shape[0]} patches, layout expects "
-            f"{len(clips)} x {lay.T * lay.N}"
-        )
-    x = tape.linear(tape.constant(rows), pid["patch_proj.w"], pid["patch_proj.b"])
+    patches = [patchify(c, config.patch) for c in clips]
+    for i, (clip, p) in enumerate(zip(clips, patches)):
+        if len(clip) != lay.T or len(p) != lay.T * lay.N:
+            raise ValueError(
+                f"clip {i} has shape {np.shape(clip)}, layout expects {lay.T} "
+                f"frames of {lay.N} patches of {config.patch}x{config.patch}")
+    x = tape.linear(tape.constant(np.stack(patches)), pid["patch_proj.w"],
+                    pid["patch_proj.b"])
     x = tape.reshape(x, (len(clips), lay.T, lay.N, lay.d))
     x = tape.add(x, pid["pos.spatial"])
     x = tape.add(x, tape.reshape(pid["pos.temporal"], (lay.T, 1, lay.d)))
-    return tape.reshape(x, (-1, lay.d))
+    return tape.reshape(x, (len(clips), lay.T * lay.N, lay.d))
 
 
 def _attention(tape: Tape, x: int, pre: str, pid: dict[str, int],
                mask: np.ndarray, heads: int, stride: int = 1,
                rows=None) -> int:
-    """Multi-head masked self-attention over rows of x (post-LN input).
+    """Multi-head masked self-attention within each sequence of x [B, n, d]
+    (post-LN input).
 
-    The rows form blocks of s * stride rows, s = len(mask); within a
-    block, rows i and j share a sequence iff i = j mod stride. Each sequence
-    becomes one entry of a [blocks, stride, heads] batch of attentions. Keys
-    and values come from all s positions of a sequence, queries only from the
-    positions `rows` (a take_rows key; None: all s), and the output has one
-    row per query, in the order of x.
+    Positions i and j of a sequence attend each other iff i = j mod stride,
+    so each sequence holds `stride` interleaved groups of s = len(mask)
+    positions, and each group becomes one entry of a [B, stride, heads] batch
+    of attentions. Keys and values come from every position, queries only
+    from the positions `rows` (a take_rows key, with stride 1; None: all n),
+    and the output is [B, queries, d], in the order of x.
     """
-    n, d = tape.value(x).shape
-    s, dh = mask.shape[0], d // heads
-    blocks = n // (s * stride)
+    b, n, d = tape.value(x).shape
+    s, dh = mask.shape[1], d // heads
+    if n != s * stride:
+        raise ValueError(f"sequence shape {(b, n, d)} != (B, {s * stride}, d)")
     x_q = x
     if rows is not None:
         mask = mask[rows]
-        x_q = tape.reshape(tape.take_rows(tape.reshape(x, (blocks, s, stride * d)),
-                                          rows, axis=1), (-1, d))
+        x_q = tape.take_rows(x, rows, axis=1)
 
     def project(src: int, w: str, axes) -> int:
         y = tape.linear(src, pid[f"{pre}.w{w}"], pid[f"{pre}.b{w}"])
-        return tape.transpose(tape.reshape(y, (blocks, -1, stride, heads, dh)), axes)
+        return tape.transpose(tape.reshape(y, (b, -1, stride, heads, dh)), axes)
 
-    q = project(x_q, "q", (0, 2, 3, 1, 4))   # [blocks, stride, heads, q, dh]
-    kt = project(x, "k", (0, 2, 3, 4, 1))      # [blocks, stride, heads, dh, s]
-    v = project(x, "v", (0, 2, 3, 1, 4))       # [blocks, stride, heads, s, dh]
+    q = project(x_q, "q", (0, 2, 3, 1, 4))   # [B, stride, heads, q, dh]
+    kt = project(x, "k", (0, 2, 3, 4, 1))      # [B, stride, heads, dh, s]
+    v = project(x, "v", (0, 2, 3, 1, 4))       # [B, stride, heads, s, dh]
     logits = tape.scale(tape.bmm(q, kt), 1.0 / math.sqrt(dh))
     out = tape.bmm(tape.masked_softmax(logits, mask), v)
-    merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (-1, d))
+    merged = tape.reshape(tape.transpose(out, (0, 3, 1, 2, 4)), (b, -1, d))
     return tape.linear(merged, pid[f"{pre}.wo"], pid[f"{pre}.bo"])
-
-
-def _batch_size(tape: Tape, z: int, lay: TokenLayout) -> int:
-    """B of a [B*S, d] stream of B clip sequences; any other shape raises."""
-    rows, d = tape.value(z).shape
-    if rows == 0 or rows % lay.seq_len or d != lay.d:
-        raise ValueError(
-            f"sequence shape {(rows, d)} != (B x {lay.seq_len}, {lay.d})")
-    return rows // lay.seq_len
 
 
 def slt_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
               config: VideoTowerConfig) -> int:
-    """Spatially-local temporal attention; [CLS]/[MST] rows bypass it."""
+    """Spatially-local temporal attention on z [B, S, d]; [CLS]/[MST] rows
+    bypass it."""
     lay = config.layout
-    b = _batch_size(tape, z, lay)
     ns = 1 + lay.num_mst
-    clips = tape.reshape(z, (b, lay.seq_len, lay.d))
-    special = tape.take_rows(clips, slice(0, ns), axis=1)
-    patches = tape.reshape(tape.take_rows(clips, slice(ns, None), axis=1),
-                           (-1, lay.d))
+    special = tape.take_rows(z, slice(0, ns), axis=1)
+    patches = tape.take_rows(z, slice(ns, None), axis=1)
     pre = f"layer{layer}.slt"
     x = tape.layer_norm(patches, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
     # frames of one spatial position are N rows apart within a clip's patches
     attn = _attention(tape, x, pre, pid, np.zeros((lay.T, lay.T), bool), config.heads,
                       stride=lay.N)
-    updated = tape.reshape(tape.add(attn, patches), (b, lay.T * lay.N, lay.d))
-    return tape.reshape(tape.concat_rows([special, updated], axis=1), (-1, lay.d))
+    return tape.concat_rows([special, tape.add(attn, patches)], axis=1)
 
 
 def gst_block(tape: Tape, z: int, layer: int, pid: dict[str, int],
               config: VideoTowerConfig, rows=None) -> int:
-    """Global spatio-temporal attention within each clip, then MLP, each with
-    a residual. Only the positions `rows` of each clip (a take_rows key; None:
-    all S) are computed, and the output has one row per clip and position;
+    """Global spatio-temporal attention within each clip of z [B, S, d], then
+    MLP, each with a residual. Only the positions `rows` of each clip (a
+    take_rows key; None: all S) are computed, and the output is [B, rows, d];
     every position still serves as a key and a value."""
-    lay = config.layout
-    b = _batch_size(tape, z, lay)
     pre = f"layer{layer}.gst"
     x = tape.layer_norm(z, pid[f"{pre}.ln.g"], pid[f"{pre}.ln.b"])
     if rows is not None:
-        z = tape.reshape(tape.take_rows(tape.reshape(z, (b, lay.seq_len, lay.d)),
-                                        rows, axis=1), (-1, lay.d))
-    z = tape.add(_attention(tape, x, pre, pid, _gst_mask(lay), config.heads,
+        z = tape.take_rows(z, rows, axis=1)
+    z = tape.add(_attention(tape, x, pre, pid, _gst_mask(config.layout), config.heads,
                             rows=rows), z)
     m = f"layer{layer}.mlp"
     h = tape.gelu(tape.linear(z, pid[f"{m}.w1"], pid[f"{m}.b1"]))
@@ -260,21 +245,20 @@ def encode_video_batch(tape: Tape, clips, pid: dict[str, int],
     """Unit-norm video embeddings as a [B, D] tape node."""
     lay = config.layout
     b = len(clips)
-    patches = tape.reshape(embed_frames_batch(tape, clips, pid, config),
-                           (b, lay.T * lay.N, lay.d))
+    patches = embed_frames_batch(tape, clips, pid, config)
     specials = [pid["cls"]]
     if lay.num_mst:
         specials.append(pid["mst"])
     special = tape.broadcast_to(tape.concat_rows(specials),
                                 (b, 1 + lay.num_mst, lay.d))
-    z = tape.reshape(tape.concat_rows([special, patches], axis=1), (-1, lay.d))
+    z = tape.concat_rows([special, patches], axis=1)
     for l in range(config.L):
         z = slt_block(tape, z, l, pid, config)
         # the embedding reads only the final [CLS] rows, so the last GST
-        # block computes just those: z ends as [B, d]
+        # block computes just those: z ends as [B, 1, d]
         last = l == config.L - 1
         z = gst_block(tape, z, l, pid, config, rows=slice(0, 1) if last else None)
-    return tape.normalize_rows(tape.matmul(z, pid["head.w"]))
+    return tape.normalize_rows(tape.matmul(tape.reshape(z, (b, lay.d)), pid["head.w"]))
 
 
 def encode_text(tape: Tape, token_lists, pid: dict[str, int],

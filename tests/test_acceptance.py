@@ -14,7 +14,7 @@ from hta.alignment import (AlignmentBatch, TrainConfig, info_nce, total_loss,
                            train)
 from hta.masks import TokenLayout, gst_stacked_mask
 from hta.oracles import brute_force_ranks
-from hta.retrieval import dual_softmax, evaluate, metrics_from_ranks, similarity
+from hta.retrieval import dual_softmax, metrics_from_ranks, ranks, similarity
 from hta.selftest import (check_masked_weights, check_masks, check_ranks,
                           check_slt_identity, layer_weights)
 from hta.tape import Tape
@@ -165,7 +165,7 @@ def test_criterion_07_synthetic_alignment():
     v = np.concatenate([video_embeddings(clips[i:i + 8], params, vcfg)
                         for i in range(0, 64, 8)])
     t = np.stack([text_embedding(s, params, tcfg) for s in subs])
-    r1 = evaluate(similarity(t, v)).r1 / 100.0
+    r1 = metrics_from_ranks(ranks(similarity(t, v))).r1 / 100.0
     elapsed = time.monotonic() - t0
     report(7, r1 >= 0.95 and monotone and elapsed < 180.0,
            f"t2v R@1 {r1:.3f}, window medians "
@@ -200,7 +200,8 @@ def test_criterion_09_dual_softmax_properties():
         s = rng.uniform(0.0, 0.6, size=(5, 5))
         np.fill_diagonal(s, 0.9)
         assert (brute_force_ranks(s) == 1).all()   # dominance, by oracle
-        preserved &= evaluate(dual_softmax(s)).as_dict() == evaluate(s).as_dict()
+        preserved &= (metrics_from_ranks(ranks(dual_softmax(s))).as_dict()
+                      == metrics_from_ranks(ranks(s)).as_dict())
     report(9, equiv and preserved,
            "permutation-equivariant; metrics preserved under dominance")
 

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hta import retrieval
 from hta.oracles import brute_force_ranks
 from hta.retrieval import (_map_blocks, _row_blocks, _score_blocks, dual_softmax,
-                           evaluate, metrics_from_ranks, paired_ranks, ranks,
-                           similarity)
+                           metrics_from_ranks, paired_ranks, ranks, similarity)
 
 
 def test_similarity_is_plain_inner_product():
@@ -61,20 +60,20 @@ def test_mdr_even_count_takes_lower_middle():
 
 
 def test_evaluate_perfect_and_worst_case():
-    rep = evaluate(np.eye(5))
+    rep = metrics_from_ranks(ranks(np.eye(5)))
     assert (rep.r1, rep.r5, rep.r10) == (100.0, 100.0, 100.0)
     assert rep.mdr == 1 and rep.mnr == 1.0
-    rep = evaluate(-np.eye(5))  # diagonal strictly worst
+    rep = metrics_from_ranks(ranks(-np.eye(5)))  # diagonal strictly worst
     assert rep.r1 == 0.0 and rep.mnr == 5.0
 
 
 def test_evaluate_requires_square():
     with pytest.raises(ValueError):
-        evaluate(np.zeros((2, 3)))
+        ranks(np.zeros((2, 3)))
 
 
 def test_report_as_dict_keys():
-    d = evaluate(np.eye(2)).as_dict()
+    d = metrics_from_ranks(ranks(np.eye(2))).as_dict()
     assert set(d) == {"R@1", "R@5", "R@10", "MdR", "MnR", "Avg"}
     assert d["Avg"] == pytest.approx((d["R@1"] + d["R@5"] + d["R@10"]) / 3)
 
@@ -99,7 +98,7 @@ def test_dual_softmax_preserves_dominant_diagonal():
     np.fill_diagonal(s, 0.9)   # margin 0.3 > 0.2
     r = ranks(dual_softmax(s, alpha=100.0))
     assert (r == 1).all()
-    assert evaluate(dual_softmax(s, alpha=100.0)).r1 == 100.0
+    assert metrics_from_ranks(r).r1 == 100.0
 
 
 def test_dual_softmax_can_change_ranks():
@@ -107,8 +106,8 @@ def test_dual_softmax_can_change_ranks():
     s = np.array([[1.0, 0.95, 0.0],
                   [0.2, 0.90, 0.0],
                   [0.1, 0.85, 0.3]])
-    plain = evaluate(s)
-    dsl = evaluate(dual_softmax(s, alpha=10.0))
+    plain = metrics_from_ranks(ranks(s))
+    dsl = metrics_from_ranks(ranks(dual_softmax(s, alpha=10.0)))
     assert dsl.mnr <= plain.mnr
 
 

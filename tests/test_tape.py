@@ -61,19 +61,36 @@ def test_linear_is_bitwise_matmul_plus_bias():
     rng = np.random.default_rng(6)
     x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
     probe = rng.normal(size=(5, 4))
-    results = []
-    for fused in (True, False):
-        t = Tape()
-        ids = [t.leaf(v) for v in (x, w, b)]
-        out = (t.linear(*ids) if fused else
-               t.add(t.matmul(ids[0], ids[1]), ids[2]))
-        grads = t.backward(t.sum(t.mul(out, t.constant(probe))))
-        results.append([t.value(out)] + [grads[i] for i in ids])
-    for fused, plain in zip(*results):
-        assert np.array_equal(fused, plain)
+    _assert_same_rows(
+        _value_and_grads(lambda t, n: t.linear(*n), [x, w, b], probe),
+        _value_and_grads(lambda t, n: t.add(t.matmul(n[0], n[1]), n[2]), [x, w, b],
+                         probe))
     t = Tape()
     with pytest.raises(ValueError, match=r"\(5, 3\).*\(4, 3\)"):
         t.linear(t.constant(x), t.constant(w.T), t.constant(b))
+    # leading axes are flattened into the rows of the same GEMM
+    x3 = rng.normal(size=(2, 5, 3))
+    probe3 = rng.normal(size=(2, 5, 4))
+    batched = _value_and_grads(lambda t, n: t.linear(*n), [x3, w, b], probe3)
+    flat = _value_and_grads(lambda t, n: t.linear(*n), [x3.reshape(10, 3), w, b],
+                            probe3.reshape(10, 4))
+    _assert_same_rows(batched, flat)
+
+
+def _value_and_grads(build, inputs, probe):
+    """The value of build on leaves of `inputs` and the gradients of
+    sum(value * probe) with respect to each leaf."""
+    t = Tape()
+    ids = [t.leaf(v) for v in inputs]
+    out = build(t, ids)
+    grads = t.backward(t.sum(t.mul(out, t.constant(probe))))
+    return [t.value(out)] + [grads[i] for i in ids]
+
+
+def _assert_same_rows(batched, flat):
+    """Bitwise equal arrays, each of `batched` read in the shape of `flat`."""
+    for got, want in zip(batched, flat):
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
 
 
 # -- masked softmax -------------------------------------------------------
@@ -162,6 +179,21 @@ def test_layer_norm_constant_vector_is_zero():
 def test_layer_norm_two_point():
     out, _, _ = layer_norm_value(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2))
     assert np.allclose(out, [[-1.0, 1.0]], atol=1e-4)
+
+
+def test_layer_norm_leading_axes_are_bitwise_flat_rows():
+    # the gain and bias gradients sum all rows in one pass, whatever the
+    # leading axes: a [2, 5, 6] input must round exactly as its [10, 6] rows
+    rng = np.random.default_rng(7)
+    x, g, b = rng.normal(size=(2, 5, 6)), rng.normal(size=6), rng.normal(size=6)
+    probe = rng.normal(size=(2, 5, 6))
+
+    def build(t, n):
+        return t.layer_norm(*n)
+
+    _assert_same_rows(_value_and_grads(build, [x, g, b], probe),
+                      _value_and_grads(build, [x.reshape(10, 6), g, b],
+                                       probe.reshape(10, 6)))
 
 
 def test_layer_norm_zero_gain_gives_bias():
@@ -335,6 +367,9 @@ OPS = {
     "linear": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2)),
                           r.normal(size=2)],
                lambda t, n: t.linear(n[0], n[1], n[2])),
+    "linear_batched": (lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2)),
+                                  r.normal(size=2)],
+                       lambda t, n: t.linear(n[0], n[1], n[2])),
     "bmm": (lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(2, 4, 2))],
             lambda t, n: t.bmm(n[0], n[1])),
     "transpose": (lambda r: [r.normal(size=(2, 5))],
@@ -348,6 +383,9 @@ OPS = {
     "gelu": (lambda r: [r.normal(size=(4, 4))], lambda t, n: t.gelu(n[0])),
     "layer_norm": (
         lambda r: [r.normal(size=(3, 6)), r.normal(size=6), r.normal(size=6)],
+        lambda t, n: t.layer_norm(n[0], n[1], n[2])),
+    "layer_norm_batched": (
+        lambda r: [r.normal(size=(2, 3, 6)), r.normal(size=6), r.normal(size=6)],
         lambda t, n: t.layer_norm(n[0], n[1], n[2])),
     "masked_softmax": (
         lambda r: [r.normal(size=(4, 5)), _mask_for(r, (4, 5))],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_embed_zero_clip_gives_position_sums():
     params = fig3_params(randomize_slt=True)
     tape = Tape()
     pid = register_params(tape, params)
-    out = tape.value(embed_frames_batch(tape, [np.zeros((4, 8, 8, 3))], pid, CFG))
+    out = tape.value(embed_frames_batch(tape, [np.zeros((4, 8, 8, 3))], pid, CFG))[0]
     expected = (np.tile(params["pos.spatial"], (4, 1))
                 + np.repeat(params["pos.temporal"], 4, axis=0))
     assert np.allclose(out, expected)
@@ -89,13 +90,26 @@ def test_embed_frame_permutation():
     swapped = clip[[1, 0, 2, 3]]
     tape = Tape()
     pid = register_params(tape, params)
-    e1 = tape.value(embed_frames_batch(tape, [clip], pid, CFG))
-    e2 = tape.value(embed_frames_batch(tape, [swapped], pid, CFG))
+    e1 = tape.value(embed_frames_batch(tape, [clip], pid, CFG))[0]
+    e2 = tape.value(embed_frames_batch(tape, [swapped], pid, CFG))[0]
     tpos = params["pos.temporal"]
     # content moves with the frame, temporal embedding stays with the slot
     assert np.allclose(e2[0:4] - tpos[0], e1[4:8] - tpos[1])
     assert np.allclose(e2[4:8] - tpos[1], e1[0:4] - tpos[0])
     assert np.allclose(e2[8:], e1[8:])
+
+
+@pytest.mark.parametrize("clips, bad", [
+    # 2 frames of 8 x 16 hold as many patches as 4 frames of 8 x 8
+    ([np.zeros((4, 8, 8, 3)), np.zeros((2, 8, 16, 3))], 1),
+    # 0 + 8 frames hold as many patches as two 4-frame clips
+    ([np.zeros((0, 8, 8, 3)), np.zeros((8, 8, 8, 3))], 0),
+])
+def test_a_clip_of_the_wrong_shape_is_refused(clips, bad):
+    shape = re.escape(str(clips[bad].shape))
+    with pytest.raises(ValueError, match=rf"clip {bad} has shape {shape}, layout "
+                                         rf"expects 4 frames of 4 patches"):
+        video_embeddings(clips, fig3_params(), CFG)
 
 
 # -- SlT block -------------------------------------------------------------
@@ -107,7 +121,7 @@ def test_slt_special_rows_untouched_any_weights():
     z = rng.normal(size=(FIG3.seq_len, 8))
     tape = Tape()
     pid = register_params(tape, params)
-    out = tape.value(slt_block(tape, tape.constant(z), 1, pid, CFG))
+    out = tape.value(slt_block(tape, tape.constant(z[None]), 1, pid, CFG))[0]
     assert np.array_equal(out[:3], z[:3])
     assert not np.allclose(out[3:], z[3:])
 
@@ -121,7 +135,7 @@ def test_slt_single_frame_is_value_path_plus_residual():
     z = rng.normal(size=(lay.seq_len, 8))
     tape = Tape()
     pid = register_params(tape, params)
-    out = tape.value(slt_block(tape, tape.constant(z), 0, pid, cfg))
+    out = tape.value(slt_block(tape, tape.constant(z[None]), 0, pid, cfg))[0]
     # T=1: each patch attends only itself, so attention output is the value
     # path of its own row
     x, _, _ = layer_norm_value(z[2:], params["layer0.slt.ln.g"],
@@ -136,7 +150,7 @@ def test_slt_shape_mismatch():
     tape = Tape()
     pid = register_params(tape, params)
     with pytest.raises(ValueError, match="shape"):
-        slt_block(tape, tape.constant(np.zeros((5, 8))), 0, pid, CFG)
+        slt_block(tape, tape.constant(np.zeros((1, 5, 8))), 0, pid, CFG)
 
 
 # -- GST block --------------------------------------------------------------
@@ -189,7 +203,7 @@ def test_gst_block_frame_isolation():
     def run(z):
         tape = Tape()
         pid = register_params(tape, params)
-        return tape.value(gst_block(tape, tape.constant(z), 0, pid, CFG))
+        return tape.value(gst_block(tape, tape.constant(z[None]), 0, pid, CFG))[0]
 
     o1, o2, o3 = run(z1), run(z2), run(z3)
     assert np.array_equal(o1[3:7], o2[3:7])
@@ -226,22 +240,22 @@ def test_blocks_match_per_clip_recomputation(lay, b):
     params = {k: rng.normal(0.0, 0.3, v.shape)
               for k, v in init_video_params(cfg, rng).items()}
     s, ns = lay.seq_len, 1 + lay.num_mst
-    z = rng.normal(size=(b * s, lay.d))
+    z = rng.normal(size=(b, s, lay.d))
     tape = Tape()
     pid = register_params(tape, params)
     slt = tape.value(slt_block(tape, tape.constant(z), 0, pid, cfg))
     gst = tape.value(gst_block(tape, tape.constant(z), 0, pid, cfg))
     for c in range(b):
-        zc = z[c * s:(c + 1) * s]
+        zc = z[c]
         want = np.vstack([zc[:ns], reference_attention(
             zc[ns:], params, "layer0.slt", slt_mask(lay), cfg.heads)])
-        assert np.abs(slt[c * s:(c + 1) * s] - want).max() <= 1e-12
+        assert np.abs(slt[c] - want).max() <= 1e-12
         y = reference_attention(zc, params, "layer0.gst",
                                 gst_stacked_mask(lay), cfg.heads)
         hid = y @ params["layer0.mlp.w1"] + params["layer0.mlp.b1"]
         hid = hid * 0.5 * (1.0 + erf(hid / np.sqrt(2.0)))
         want = y + hid @ params["layer0.mlp.w2"] + params["layer0.mlp.b2"]
-        assert np.abs(gst[c * s:(c + 1) * s] - want).max() <= 1e-12
+        assert np.abs(gst[c] - want).max() <= 1e-12
 
 
 # -- query rows: the last GST block computes only the [CLS] rows ---------------
@@ -266,14 +280,13 @@ def test_gst_query_rows_equal_the_full_block_rows(cfg, b):
     lay = cfg.layout
     rng = np.random.default_rng(40 + b)
     params = randomized_slt_params(cfg, rng)
-    z = rng.normal(size=(b * lay.seq_len, lay.d))
+    z = rng.normal(size=(b, lay.seq_len, lay.d))
     tape = Tape()
     pid = register_params(tape, params, requires_grad=False)
     full = tape.value(gst_block(tape, tape.constant(z), cfg.L - 1, pid, cfg))
-    full = full.reshape(b, lay.seq_len, lay.d)
     for rows in (slice(0, 1), slice(1, 1 + lay.num_mst), np.array([5, 0, 3])):
         got = tape.value(gst_block(tape, tape.constant(z), cfg.L - 1, pid, cfg, rows))
-        want = full[:, rows].reshape(-1, lay.d)
+        want = full[:, rows]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12
 
@@ -285,11 +298,7 @@ def full_last_layer(monkeypatch):
 
     def block(tape, z, layer, pid, config, rows=None):
         out = full_block(tape, z, layer, pid, config)
-        if rows is None:
-            return out
-        lay = config.layout
-        seqs = tape.reshape(out, (-1, lay.seq_len, lay.d))
-        return tape.reshape(tape.take_rows(seqs, rows, axis=1), (-1, lay.d))
+        return out if rows is None else tape.take_rows(out, rows, axis=1)
 
     monkeypatch.setattr(towers, "gst_block", block)
 
@@ -384,12 +393,13 @@ def test_static_clip_frame_symmetry_at_init():
     tape = Tape()
     pid = register_params(tape, params)
     # a one-clip sequence is [CLS; MST; patches] in token order
-    z = tape.concat_rows([pid["cls"], pid["mst"],
-                          embed_frames_batch(tape, [clip], pid, CFG)])
+    special = tape.reshape(tape.concat_rows([pid["cls"], pid["mst"]]), (1, 3, 8))
+    z = tape.concat_rows([special, embed_frames_batch(tape, [clip], pid, CFG)],
+                         axis=1)
     for l in range(CFG.L):
         z = slt_block(tape, z, l, pid, CFG)
         z = gst_block(tape, z, l, pid, CFG)
-        rows = tape.value(z)[3:].reshape(4, 4, 8)
+        rows = tape.value(z)[0, 3:].reshape(4, 4, 8)
         for t in range(1, 4):
             assert np.allclose(rows[t], rows[0], atol=1e-12)
 
