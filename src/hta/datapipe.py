@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 from .config import read_text
@@ -27,6 +26,10 @@ DEFAULT_SCALES = (13.0, 30.0, 60.0)
 # the default fps 0.1; the cap stops a claimed duration far beyond any clip's
 # from writing unbounded output.
 MAX_CAPTION_FRAMES = 1000
+
+# Largest |time| in seconds a transcript may give (about 32,000 years). No clip
+# span, and no sum of spans in `stats` over fewer than 1e295 clips, overflows.
+MAX_TIME = 1e12
 
 WORD_CAP = 25
 SUMMARIZE_PROMPT = ("Summarize the following sentences into a single sentence, "
@@ -92,18 +95,18 @@ def _sentences(items, text_key: str, where: str) -> list[TranscriptSentence]:
     """The one reader of both transcript forms, one pass over items.
 
     items must be a list of {text_key: str, "t0": time, "t1": time} objects,
-    where a time is a finite int or float (not a bool). Each item ends no
-    earlier than it starts and starts no earlier than the item before it;
-    overlapping that item is fine. The first faulty item raises ValueError.
-    A pre-segmented item ("text") is one sentence; words ("w") close one at
-    terminal punctuation and at the last word. A sentence must end after it
-    starts; the item that closes one that does not is the faulty item. Runs
-    once per word, so the checks are inline.
+    where a time is an int or float (not a bool) of at most MAX_TIME in
+    magnitude. Each item ends no earlier than it starts and starts no earlier
+    than the item before it; overlapping that item is fine. The first faulty
+    item raises ValueError. A pre-segmented item ("text") is one sentence;
+    words ("w") close one at terminal punctuation and at the last word. A
+    sentence must end after it starts; the item that closes one that does not
+    is the faulty item. Runs once per word, so the checks are inline.
     """
     if type(items) is not list:
         raise ValueError(f"{where}: expected a list, got {items!r:.80}")
     noun, each = ("sentence", True) if text_key == "text" else ("word", False)
-    big, prev, buf, sentences = sys.float_info.max, -math.inf, [], []
+    big, prev, buf, sentences = MAX_TIME, -math.inf, [], []
     last = len(items) - 1
     for i, item in enumerate(items):
         if not (type(item) is dict and type(text := item.get(text_key)) is str
@@ -111,7 +114,8 @@ def _sentences(items, text_key: str, where: str) -> list[TranscriptSentence]:
                 and type(t1 := item.get("t1")) in (int, float)
                 and -big <= t0 <= big and -big <= t1 <= big):   # False for NaN
             raise ValueError(f"{where} item {i}: expected {{{text_key!r}: str, "
-                             f"'t0': number, 't1': number}}, got {item!r:.80}")
+                             f"'t0': number, 't1': number}} with |t| <= {big:g}, "
+                             f"got {item!r:.80}")
         if t1 < t0 or t0 < prev:
             raise ValueError(f"non-monotone timestamps at {noun} {i}")
         if not buf:

@@ -54,12 +54,10 @@ def _pair(queries, candidates) -> tuple[np.ndarray, np.ndarray]:
     return q, c
 
 
-def similarity(queries: np.ndarray, candidates: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise dot products of unit-norm rows: [Q, D] x [C, D] -> [Q, C],
-    written into `out` when it is given."""
+def similarity(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Pairwise dot products of unit-norm rows: [Q, D] x [C, D] -> [Q, C]."""
     q, c = _pair(queries, candidates)
-    return np.matmul(q, c.T, out=out)
+    return q @ c.T
 
 
 def _check_alpha(alpha: float) -> None:
@@ -72,19 +70,15 @@ def _check_square(shape: tuple, what: str) -> None:
         raise ValueError(f"{what} needs a square matrix, got {shape}")
 
 
-def _exp_shifted(z: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.subtract(z, shift, out=out)
-    return np.exp(out, out=out)
-
-
-def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray, colsum: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
+def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray,
+                       colsum: np.ndarray) -> np.ndarray:
     """Rows z of alpha*S, re-scored in place: row-softmax(z) times the
     column softmax, given the column max of alpha*S and the column sums of
-    exp(alpha*S - colmax). `scratch` is a buffer of z's shape."""
-    col = _exp_shifted(z, colmax, scratch)
+    exp(alpha*S - colmax)."""
+    col = np.exp(z - colmax)
     col /= colsum
-    row = _exp_shifted(z, z.max(axis=1, keepdims=True), z)
+    z -= z.max(axis=1, keepdims=True)
+    row = np.exp(z, out=z)
     row /= row.sum(axis=1, keepdims=True)
     row *= col
     return row
@@ -97,10 +91,9 @@ def dual_softmax(s: np.ndarray, alpha: float = 100.0) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     _check_square(s.shape, "dual_softmax")
     z = alpha * s
-    scratch = np.empty_like(z)
     colmax = z.max(axis=0)
-    colsum = _exp_shifted(z, colmax, scratch).sum(axis=0)
-    return _dual_softmax_rows(z, colmax, colsum, scratch)
+    colsum = np.exp(z - colmax).sum(axis=0)
+    return _dual_softmax_rows(z, colmax, colsum)
 
 
 def _check_finite(s: np.ndarray) -> None:
@@ -149,24 +142,22 @@ def _workers() -> int:
     return 1
 
 
-def _map_blocks(blocks: list[tuple[int, int]], size: int, workers: int, work) -> None:
-    """Call work(a, b, buf, scratch) for each block [a, b), on up to `workers`
-    threads, the caller's included. Each thread reuses two flat buffers of
-    `size` elements. The first error stops every thread, and it is raised once
-    all of them have ended."""
+def _map_blocks(blocks: list[tuple[int, int]], workers: int, work) -> None:
+    """Call work(a, b) for each block [a, b), on up to `workers` threads, the
+    caller's included. The first error stops every thread, and it is raised
+    once all of them have ended."""
     lock = threading.Lock()
     todo, error = iter(blocks), None
 
     def run():
         nonlocal error
-        buf, scratch = np.empty((2, size))
         try:
             while True:
                 with lock:
                     block = next(todo, None)
                     if block is None or error is not None:
                         return
-                work(*block, buf, scratch)
+                work(*block)
         except BaseException as exc:
             with lock:
                 if error is None:
@@ -186,16 +177,25 @@ def _map_blocks(blocks: list[tuple[int, int]], size: int, workers: int, work) ->
         raise error
 
 
-def _score_blocks(queries, candidates, alpha: float | None, use) -> None:
-    """Call use(start, block) for the row blocks of similarity(queries,
-    candidates), or of its dual_softmax when alpha is given, equal to the rows
-    of the full matrix. Calls come from several threads at once, and each
-    block is a view into a buffer that its thread reuses. Dual softmax first
-    takes the column max and column sums from column blocks, alpha times the
-    transpose of similarity(candidates[a:b], queries), whose axis-0
-    reductions add the rows in index order as dual_softmax does; so it
-    computes the scores twice. Every block of either pass writes only its own
-    slice, so no pass depends on the thread order."""
+def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
+                 alpha: float | None = None) -> np.ndarray:
+    """ranks(similarity(queries, candidates)), or the ranks of its
+    dual_softmax with this alpha, from blocks of at least two rows (or, for
+    the column statistics, columns) on _workers() threads, about BLOCK_ELEMS
+    scores in flight in all.
+
+    Dual softmax first takes the column max and column sums from column
+    blocks: alpha times the transpose of similarity(candidates[a:b],
+    queries), copied in C order so that the axis-0 reductions add the rows in
+    index order as dual_softmax does. So it computes the scores twice. Every
+    block of either pass writes only its own slice of the column statistics
+    or the ranks, so the ranks do not depend on the number of threads. They
+    equal the full-matrix ranks wherever BLAS rounds each block's product as
+    it rounds the full one: always for exactly representable products, and
+    on OpenBLAS 0.3.31 at Q = 1k and 5k with 1, 2 and 4 threads. One column
+    block that spans every column is the transposed product, which can differ
+    in the last ulp (Q = 300, 363 and 500 on one thread). Otherwise near-ties
+    may rank differently."""
     q, c = _pair(queries, candidates)
     if alpha is not None:
         _check_alpha(alpha)
@@ -204,50 +204,29 @@ def _score_blocks(queries, candidates, alpha: float | None, use) -> None:
     # the threads share one budget of BLOCK_ELEMS scores; a column block is as
     # wide as a row block is high, and no block is one row or column thin
     blocks = _row_blocks(n, max(2, BLOCK_ELEMS // max(workers * n, 1)))
-    size = n * max((b - a for a, b in blocks), default=0)
+    r = np.empty(n, dtype=np.int64)
 
     if alpha is not None:
         colmax, colsum = np.empty(n), np.empty(n)
 
-        def columns(a, b, buf, scratch):
+        def columns(a, b):
             # rows a:b of S^T: BLAS rounds them as it rounds a row block
-            zt = similarity(c[a:b], q, out=buf[:n * (b - a)].reshape(b - a, n))
-            z = np.multiply(zt.T, alpha, out=scratch[:zt.size].reshape(n, b - a))
+            z = np.multiply(similarity(c[a:b], q).T, alpha, order="C")
             _check_finite(z)          # also catches an alpha*S that overflows
             z.max(axis=0, out=colmax[a:b])
-            _exp_shifted(z, colmax[a:b], z).sum(axis=0, out=colsum[a:b])
+            z -= colmax[a:b]
+            np.exp(z, out=z).sum(axis=0, out=colsum[a:b])
 
-        _map_blocks(blocks, size, workers, columns)
+        _map_blocks(blocks, workers, columns)
 
-    def rows(a, b, buf, scratch):
-        z = similarity(q[a:b], c, out=buf[:n * (b - a)].reshape(b - a, n))
+    def rows(a, b):
+        z = similarity(q[a:b], c)
         if alpha is not None:
             z *= alpha
-            z = _dual_softmax_rows(z, colmax, colsum, scratch[:z.size].reshape(z.shape))
-        use(a, z)
+            z = _dual_softmax_rows(z, colmax, colsum)
+        r[a:b] = _rank_rows(z, a)
 
-    _map_blocks(blocks, size, workers, rows)
-
-
-def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
-                 alpha: float | None = None) -> np.ndarray:
-    """ranks(similarity(queries, candidates)), or the ranks of its
-    dual_softmax with this alpha, from blocks of at least two rows (or, for
-    the column statistics, columns) on _workers() threads, about BLOCK_ELEMS
-    scores in flight in all. The ranks do not depend on the number of threads.
-    They equal the full-matrix ranks wherever BLAS rounds each block's product
-    as it rounds the full one: always for exactly representable products, and
-    on OpenBLAS 0.3.31 at Q = 1k and 5k with 1, 2 and 4 threads. One column
-    block that spans every column is the transposed product, which can differ
-    in the last ulp (Q = 300, 363 and 500 on one thread). Otherwise near-ties
-    may rank differently."""
-    q, c = _pair(queries, candidates)
-    r = np.empty(len(q), dtype=np.int64)
-
-    def rank(start, z):
-        r[start:start + len(z)] = _rank_rows(z, start)
-
-    _score_blocks(q, c, alpha, rank)
+    _map_blocks(blocks, workers, rows)
     return r
 
 

@@ -149,9 +149,6 @@ class Tape:
         av = a.value
         return self._push(av * c, [(a, lambda g, c=c: g * c)])
 
-    def neg(self, a: Node) -> Node:
-        return self.scale(a, -1.0)
-
     def matmul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
         _check_matmul(av, bv)

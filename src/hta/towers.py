@@ -157,12 +157,17 @@ def embed_frames_batch(tape: Tape, clips, pid: dict[str, int],
     """Patch tokens [B, T*N, d]: linear patch projection + spatial and temporal
     position embeddings."""
     lay = config.layout
-    patches = [patchify(c, config.patch) for c in clips]
-    for i, (clip, p) in enumerate(zip(clips, patches)):
-        if len(clip) != lay.T or len(p) != lay.T * lay.N:
+    patches = []
+    for i, clip in enumerate(clips):
+        try:
+            p = patchify(clip, config.patch)
+        except ValueError:          # not [T, H, W, 3], or H, W not whole patches
+            p = ()
+        if len(p) != lay.T * lay.N or len(clip) != lay.T:
             raise ValueError(
                 f"clip {i} has shape {np.shape(clip)}, layout expects {lay.T} "
-                f"frames of {lay.N} patches of {config.patch}x{config.patch}")
+                f"frames of {lay.N} patches of {config.patch}x{config.patch}x3")
+        patches.append(p)
     x = tape.linear(tape.constant(np.stack(patches)), pid["patch_proj.w"],
                     pid["patch_proj.b"])
     x = tape.reshape(x, (len(clips), lay.T, lay.N, lay.d))

@@ -207,6 +207,34 @@ def test_curate_caption_frame_error_names_file_and_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_infinity(token):
+    raise AssertionError(f"stats.json holds {token}, which strict JSON refuses")
+
+
+@pytest.mark.parametrize("t0, t1, err", [
+    (0, 1e308, "video 'a' sentences item 0: expected {'text': str, 't0': number, "
+               "'t1': number} with |t| <= 1e+12, got {'text': 'a.', 't0': 0, 't1': 1e+308}"),
+    (-1e12, 1e12, None),
+], ids=("spans overflow the sum", "at the bound"))
+def test_curate_two_long_videos_keep_stats_finite(tmp_path, capsys, t0, t1, err):
+    # two clips of 1e308 s each sum to inf in stats; two of 2e12 s each, the
+    # longest the time bound allows, keep stats.json strict JSON
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    (src / "v.jsonl").write_text("\n".join(json.dumps(
+        {"video_id": vid, "sentences": [{"text": "a.", "t0": t0, "t1": t1}]})
+        for vid in ("a", "b")))
+    code = run(["curate", "--in", str(src), "--out", str(out)])
+    if err is not None:
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {src / 'v.jsonl'} line 1: {err}\n"
+        assert not out.exists()
+        return
+    assert code == 0
+    table = json.loads((out / "stats.json").read_text(), parse_constant=_no_infinity)
+    assert table["long"]["count"] == 2 and table["long"]["mean_duration"] == 2e12
+
+
 @pytest.mark.parametrize("fps", ["nan", "0", "-1", "inf"])
 def test_curate_bad_fps_exits_1_before_reading(tmp_path, capsys, fps):
     # the flag is checked before the (missing) input directory is opened,

@@ -290,6 +290,9 @@ MALFORMED_LINES = {
     "deep": "[" * 100_000 + "]" * 100_000,
     "decreasing t0": '{"video_id": "a", "sentences": [{"text": "b.", "t0": 100, "t1": 110}, '
                      '{"text": "a.", "t0": 0, "t1": 5}, {"text": "c.", "t0": 50, "t1": 52}]}',
+    # finite times whose span t1 - t0 overflows to inf
+    "span overflows": '{"video_id": "v", "sentences": [{"text": "a b.", "t0": -1.7e308, '
+                      '"t1": 1.7e308}]}',
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hta import retrieval
 from hta.oracles import brute_force_ranks
-from hta.retrieval import (_map_blocks, _row_blocks, _score_blocks, dual_softmax,
+from hta.retrieval import (_map_blocks, _rank_rows, _row_blocks, dual_softmax,
                            metrics_from_ranks, paired_ranks, ranks, similarity)
 
 
@@ -144,12 +144,16 @@ def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups
     queries, candidates = grid_pair(seed, q, dups)
     s = similarity(queries, candidates)
     full = s if alpha is None else dual_softmax(s, alpha)
-    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval._workers()):
+    blocks = []
+
+    def rank_rows(z, start):
+        blocks.append((start, z.copy()))
+        return _rank_rows(z, start)
+
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval._workers()), \
+            mock.patch.object(retrieval, "_rank_rows", side_effect=rank_rows):
         got = paired_ranks(queries, candidates, alpha)
-        blocks = []
-        _score_blocks(queries, candidates, alpha,
-                      lambda a, z: blocks.append((a, z.copy())))
-        blocks.sort(key=lambda blk: blk[0])
+    blocks.sort(key=lambda blk: blk[0])
     assert np.array_equal(got, ranks(full))
     assert [a for a, _ in blocks] == [a for a, _ in _row_blocks(q, max(2, block // q))]
     assert all(len(z) >= 2 for _, z in blocks) or q == 1
@@ -212,27 +216,23 @@ def run_bounded(fn, *args):
     return raised[0] if raised else None
 
 
-def test_map_blocks_threads_keep_their_own_buffers():
+def test_map_blocks_runs_every_block_once():
     """More threads than cores and a short switch interval: every block runs
-    once, on buffers of `size` elements, and what a block writes into its
-    thread's two buffers is still there after other threads have run."""
+    once."""
     blocks = _row_blocks(400, 2)
-    seen, clobbered = [], []
+    seen = []
 
-    def work(a, b, buf, scratch):
-        buf[:], scratch[:] = a, -a - 1
+    def work(a, b):
         time.sleep(0.0005 * (a % 3))    # blocks finish out of order
-        if buf.shape != (8,) or (buf != a).any() or (scratch != -a - 1).any():
-            clobbered.append(a)
         seen.append((a, b))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert run_bounded(_map_blocks, blocks, 8, 8, work) is None
+        assert run_bounded(_map_blocks, blocks, 8, work) is None
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(seen) == blocks and clobbered == []
+    assert sorted(seen) == blocks
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -256,7 +256,7 @@ def test_no_thread_outlives_a_call(fail_at):
     before = threading.active_count()
     calls = 0
 
-    def work(a, b, buf, scratch):
+    def work(a, b):
         nonlocal calls
         calls += 1
         if a == 20:
@@ -271,7 +271,7 @@ def test_no_thread_outlives_a_call(fail_at):
             exc = run_bounded(paired_ranks, bad, candidates, 10.0)
             assert isinstance(exc, ValueError) and "non-finite" in str(exc)
         else:                           # a block's own work raises
-            exc = run_bounded(_map_blocks, _row_blocks(60, 2), 120, 4, work)
+            exc = run_bounded(_map_blocks, _row_blocks(60, 2), 4, work)
             assert isinstance(exc, RuntimeError)
             assert calls < 30               # the first error stops the rest
     assert threading.active_count() == before

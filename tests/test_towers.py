@@ -104,6 +104,10 @@ def test_embed_frame_permutation():
     ([np.zeros((4, 8, 8, 3)), np.zeros((2, 8, 16, 3))], 1),
     # 0 + 8 frames hold as many patches as two 4-frame clips
     ([np.zeros((0, 8, 8, 3)), np.zeros((8, 8, 8, 3))], 0),
+    # two channels, not three
+    ([np.zeros((4, 8, 8, 3)), np.zeros((4, 8, 8, 2))], 1),
+    # 10 rows of pixels are not whole 4x4 patches
+    ([np.zeros((4, 8, 8, 3)), np.zeros((4, 10, 8, 3))], 1),
 ])
 def test_a_clip_of_the_wrong_shape_is_refused(clips, bad):
     shape = re.escape(str(clips[bad].shape))
