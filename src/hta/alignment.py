@@ -55,7 +55,7 @@ def _ce_diag(z: np.ndarray) -> float:
 
 def info_nce_node(tape: Tape, v: int, t: int, log_tau: int) -> int:
     """Tape version of info_nce with tau = exp(log_tau)."""
-    sims = tape.matmul(v, tape.transpose(t))
+    sims = tape.bmm(v, tape.transpose(t))
     scaled = tape.mul(sims, tape.exp(tape.scale(log_tau, -1.0)))
     return tape.add(tape.cross_entropy_diag(scaled),
                     tape.cross_entropy_diag(tape.transpose(scaled)))

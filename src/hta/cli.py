@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import DivergenceError, TrainConfig, read_text
+from .config import DivergenceError, TrainConfig, read_json, read_text
 
 
 def _write_manifest(out_path, args_dict: dict, seed: int) -> None:
@@ -84,12 +84,7 @@ def _read_texts(path, vocab: int, context: int) -> tuple[list, list]:
     """texts.json: {"subtitles": [[id, ...], ...], "captions": [...]}, each
     list holding 1 to `context` token ids, ints in [0, vocab). Anything else
     raises ValueError."""
-    try:
-        texts = json.loads(read_text(path))
-    except RecursionError as exc:
-        raise ValueError(f"{path}: nested too deeply") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    texts = read_json(path)
     if type(texts) is not dict:
         raise ValueError(f"{path}: expected an object with 'subtitles' and 'captions'")
     for key in ("subtitles", "captions"):

@@ -1,11 +1,12 @@
 """Training configuration and the divergence error: what the command line
 needs to build its parser and map errors to exit codes, kept apart from the
 trainer so that neither compiles the towers. `hta.alignment` re-exports all
-three names. Also two helpers that several verbs share: reading a UTF-8
-input file, and counting the cores this process may use."""
+three names. Also the helpers that several verbs share: reading a UTF-8 text
+or JSON input file, and counting the cores this process may use."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -17,6 +18,16 @@ def read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_json(path):
+    """The value of a UTF-8 JSON input file; bad text raises ValueError naming it."""
+    try:
+        return json.loads(read_text(path))
+    except RecursionError as exc:
+        raise ValueError(f"{path}: nested too deeply") from exc
+    except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -8,11 +8,12 @@ of it.
 are the reference. `paired_ranks` ranks from the embeddings one
 block of rows at a time (dual softmax takes its column statistics from blocks
 of columns first), on one thread per core that BLAS leaves free, with one
-O(block) memory budget shared by the threads; `hta eval` uses it. Its ranks
-do not depend on the number of threads. Both paths share the tie rule and the
+O(block) memory budget shared by the threads; `hta eval` uses it. Its blocks
+follow the core count, so its ranks do not depend on the number of threads
+or the BLAS thread variables. Both paths share the tie rule and the
 softmax steps below. A block's scores can differ from the full product's in
 the last ulp where BLAS splits the product differently, and blocks shrink as
-threads are added, so near-ties may rank differently from the reference.
+cores are added, so near-ties may rank differently from the reference.
 """
 
 from __future__ import annotations
@@ -189,21 +190,22 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     queries), copied in C order so that the axis-0 reductions add the rows in
     index order as dual_softmax does. So it computes the scores twice. Every
     block of either pass writes only its own slice of the column statistics
-    or the ranks, so the ranks do not depend on the number of threads. They
+    or the ranks, and the block height follows usable_cores(), not the thread
+    count, so the ranks do not depend on the number of threads. They
     equal the full-matrix ranks wherever BLAS rounds each block's product as
     it rounds the full one: always for exactly representable products, and
     on OpenBLAS 0.3.31 at Q = 1k and 5k with 1, 2 and 4 threads. One column
     block that spans every column is the transposed product, which can differ
-    in the last ulp (Q = 300, 363 and 500 on one thread). Otherwise near-ties
+    in the last ulp (Q = 300, 363 and 500 on one core). Otherwise near-ties
     may rank differently."""
     q, c = _pair(queries, candidates)
     if alpha is not None:
         _check_alpha(alpha)
     _check_square((len(q), len(c)), "paired evaluation")
     n, workers = len(q), _workers()
-    # the threads share one budget of BLOCK_ELEMS scores; a column block is as
-    # wide as a row block is high, and no block is one row or column thin
-    blocks = _row_blocks(n, max(2, BLOCK_ELEMS // max(workers * n, 1)))
+    # one budget of BLOCK_ELEMS scores for as many threads as cores; a column
+    # block is as wide as a row block is high, and none is one row or column thin
+    blocks = _row_blocks(n, max(2, BLOCK_ELEMS // max(usable_cores() * n, 1)))
     r = np.empty(n, dtype=np.int64)
 
     if alpha is not None:

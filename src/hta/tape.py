@@ -51,11 +51,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
-
-
 def masked_softmax_value(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """Last-axis softmax of logits with the positions where the boolean mask
     `blocked` is True forced to 0. The [s, s] mask broadcasts over any leading
@@ -149,21 +144,13 @@ class Tape:
         av = a.value
         return self._push(av * c, [(a, lambda g, c=c: g * c)])
 
-    def matmul(self, a: Node, b: Node) -> Node:
-        av, bv = a.value, b.value
-        _check_matmul(av, bv)
-        out = av @ bv
-        return self._push(out, [
-            (a, lambda g, o=bv: g @ o.T),
-            (b, lambda g, o=av: o.T @ g),
-        ])
-
     def linear(self, x: Node, w: Node, b: Node) -> Node:
         """x @ w + b for x [..., k], w [k, m] and b [m], as one node. The
         leading axes of x are flattened into the rows of one GEMM."""
         xv, wv = x.value, w.value
         rows = xv.reshape(-1, xv.shape[-1])
-        _check_matmul(rows, wv)
+        if wv.ndim != 2 or rows.shape[1] != wv.shape[0]:
+            raise ValueError(f"linear shape mismatch: {rows.shape} x {wv.shape}")
         out = rows @ wv
         out += b.value
         m = wv.shape[1]
@@ -174,9 +161,10 @@ class Tape:
         ])
 
     def bmm(self, a: Node, b: Node) -> Node:
-        """Batched matmul [..., m, k] x [..., k, n] with equal leading axes."""
+        """Matrix product [..., m, k] x [..., k, n] with equal leading axes,
+        none for a plain product; the one product op without a bias."""
         av, bv = a.value, b.value
-        if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
+        if av.ndim < 2 or bv.shape[:-1] != av.shape[:-2] + av.shape[-1:]:
             raise ValueError(f"bmm shape mismatch: {av.shape} x {bv.shape}")
         return self._push(av @ bv, [
             (a, lambda g, o=bv: g @ o.swapaxes(-1, -2)),
@@ -291,14 +279,14 @@ class Tape:
         z = logits.value
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"expected square logits, got {z.shape}")
-        n = z.shape[0]
         m = z.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-        out = np.asarray((lse - np.diag(z)).mean())
         p = np.exp(z - m)
-        p /= p.sum(axis=1, keepdims=True)
+        total = p.sum(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(total[:, 0])
+        out = np.asarray((lse - np.diag(z)).mean())
+        p /= total
 
-        def vjp(g, p=p, n=n):
+        def vjp(g, p=p, n=len(z)):
             return g * (p - np.eye(n)) / n
 
         return self._push(out, [(logits, vjp)])

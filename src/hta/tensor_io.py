@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
+
 MAGIC = b"HTA1"
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -108,12 +110,7 @@ def load_checkpoint(directory):
     with each file a plain file in `directory` (not a link) that holds a
     tensor of that shape, raises ValueError."""
     d = Path(directory)
-    try:
-        manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise ValueError(f"{d}: manifest.json is nested too deeply") from exc
-    except ValueError as exc:               # not UTF-8, or not JSON
-        raise ValueError(f"{d / 'manifest.json'}: {exc}") from exc
+    manifest = read_json(d / "manifest.json")
     if type(manifest) is not dict or type(manifest.get("params")) is not dict \
             or type(manifest.get("config", {})) is not dict:
         raise ValueError(f"{d}: manifest.json needs a 'params' object and an "

@@ -263,7 +263,7 @@ def encode_video_batch(tape: Tape, clips, pid: dict[str, int],
         # block computes just those: z ends as [B, 1, d]
         last = l == config.L - 1
         z = gst_block(tape, z, l, pid, config, rows=slice(0, 1) if last else None)
-    return tape.normalize_rows(tape.matmul(tape.reshape(z, (b, lay.d)), pid["head.w"]))
+    return tape.normalize_rows(tape.bmm(tape.reshape(z, (b, lay.d)), pid["head.w"]))
 
 
 def encode_text(tape: Tape, token_lists, pid: dict[str, int],
@@ -285,8 +285,8 @@ def encode_text(tape: Tape, token_lists, pid: dict[str, int],
                  tape.take_rows(pid["text.pos"], positions))
     # row i of the pooling matrix averages the tokens of list i
     pool = np.repeat(np.eye(len(lens)) / np.array(lens)[:, None], lens, axis=1)
-    pooled = tape.matmul(tape.constant(pool), x)
-    return tape.normalize_rows(tape.matmul(pooled, pid["text.proj.w"]))
+    pooled = tape.bmm(tape.constant(pool), x)
+    return tape.normalize_rows(tape.bmm(pooled, pid["text.proj.w"]))
 
 
 def video_embedding(clip, params: dict[str, np.ndarray],

@@ -502,8 +502,9 @@ def test_train_config_malformed_line_exits_1(tmp_path, capsys, text, line, key):
     ("ckpt/manifest.json", b'{"params": {"a": '),
     ("in/v.jsonl", b'{"video_id": "v", "sentences": []}\n"\xff"\n'),
     ("train.cfg", b"steps = 2  # \xff\n"),
+    ("ckpt/manifest.json", b"[" * 100_000 + b"]" * 100_000),
 ], ids=("truncated texts", "texts not utf-8", "truncated manifest",
-        "transcript not utf-8", "config not utf-8"))
+        "transcript not utf-8", "config not utf-8", "deep manifest"))
 def test_untrusted_file_errors_name_the_file(tmp_path, capsys, name, data):
     model = small_dataset(tmp_path / "data")
     path = tmp_path / name

@@ -136,7 +136,7 @@ def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups
     # small shapes run with blocks of `rows` rows; 1000 and 1352 give each
     # thread the one-thread block size (262 and 193 rows; at 1352 the one-row
     # tail joins the last block). The threads share the budget, so it is
-    # scaled by their number.
+    # scaled by the number of cores, which bounds theirs.
     q = {"1": 1, "2": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
          "2rows+1": 2 * rows + 1, "1000": 1000, "1352": 1352}[shape]
     q = max(q, 1)
@@ -150,7 +150,7 @@ def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups
         blocks.append((start, z.copy()))
         return _rank_rows(z, start)
 
-    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval._workers()), \
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval.usable_cores()), \
             mock.patch.object(retrieval, "_rank_rows", side_effect=rank_rows):
         got = paired_ranks(queries, candidates, alpha)
     blocks.sort(key=lambda blk: blk[0])
@@ -167,15 +167,39 @@ def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups
        dups=st.integers(0, 20))
 def test_paired_ranks_do_not_depend_on_the_thread_count(seed, rows, q, workers,
                                                         alpha, dups):
-    # one budget of `rows` rows per block on one core: blocks shrink with the
-    # thread count, and q % rows_per_block == 1 leaves a one-row tail to join
+    # one budget of `rows` rows per block on one core, whatever the thread
+    # count; q % rows == 1 leaves a one-row tail to join
     queries, candidates = grid_pair(seed, q, dups)
-    with mock.patch.object(retrieval, "BLOCK_ELEMS", rows * q):
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", rows * q), \
+            mock.patch.object(retrieval, "usable_cores", lambda: 1):
         with mock.patch.object(retrieval, "_workers", lambda: 1):
             one = paired_ranks(queries, candidates, alpha)
         with mock.patch.object(retrieval, "_workers", lambda: workers):
             several = paired_ranks(queries, candidates, alpha)
     assert np.array_equal(one, several)
+
+
+@pytest.mark.parametrize("alpha", [None, 100.0])
+def test_scored_blocks_do_not_depend_on_the_thread_count(alpha):
+    # at Q = 363, blocks sized by the thread count (one 363-row block on one
+    # thread, 361 + 2 rows on two) round scores differently in the last ulp
+    # (566 of them on OpenBLAS 0.3.31 at 1 BLAS thread), which flips near-ties
+    rng = np.random.default_rng(0)
+    queries, candidates = rng.normal(size=(363, 32)), rng.normal(size=(363, 32))
+    scored = {}
+    for workers in (1, 2):
+        blocks = scored[workers] = []
+
+        def rank_rows(z, start, blocks=blocks):
+            blocks.append((start, z.copy()))
+            return _rank_rows(z, start)
+
+        with mock.patch.object(retrieval, "_workers", lambda: workers), \
+                mock.patch.object(retrieval, "_rank_rows", side_effect=rank_rows):
+            paired_ranks(queries, candidates, alpha)
+        blocks.sort(key=lambda blk: blk[0])
+    assert [a for a, _ in scored[1]] == [a for a, _ in scored[2]]
+    assert all(np.array_equal(z1, z2) for (_, z1), (_, z2) in zip(scored[1], scored[2]))
 
 
 @pytest.mark.parametrize("env, cores, want", [
@@ -242,6 +266,7 @@ def test_dual_softmax_computes_the_scores_twice(workers, alpha, passes):
     queries, candidates = grid_pair(2, 50, 0)
     with mock.patch.object(retrieval, "BLOCK_ELEMS", 12 * 50), \
             mock.patch.object(retrieval, "_workers", lambda: workers), \
+            mock.patch.object(retrieval, "usable_cores", lambda: workers), \
             mock.patch.object(retrieval, "similarity", wraps=similarity) as sim:
         paired_ranks(queries, candidates, alpha)
     # call_args_list, not call_count: its append does not race between threads
@@ -361,7 +386,8 @@ def test_paired_ranks_threads_share_one_memory_budget(workers):
     q = 3000
     rng = np.random.default_rng(7)
     queries, candidates = rng.normal(size=(q, 32)), rng.normal(size=(q, 32))
-    with mock.patch.object(retrieval, "_workers", lambda: workers):
+    with mock.patch.object(retrieval, "_workers", lambda: workers), \
+            mock.patch.object(retrieval, "usable_cores", lambda: workers):
         tracemalloc.start()
         try:
             paired_ranks(queries, candidates, 100.0)

@@ -19,14 +19,14 @@ def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 2))
     t = Tape()
-    out = t.matmul(t.constant(np.eye(2)), t.constant(a))
+    out = t.bmm(t.constant(np.eye(2)), t.constant(a))
     assert np.array_equal(t.value(out), a)
 
 
 def test_matmul_hand_example():
     t = Tape()
-    out = t.matmul(t.constant([[1.0, 2.0], [3.0, 4.0]]),
-                   t.constant([[5.0], [6.0]]))
+    out = t.bmm(t.constant([[1.0, 2.0], [3.0, 4.0]]),
+                t.constant([[5.0], [6.0]]))
     assert np.array_equal(t.value(out), [[17.0], [39.0]])
 
 
@@ -35,7 +35,13 @@ def test_matmul_shape_error_names_both_shapes():
     a = t.constant(np.zeros((2, 3)))
     b = t.constant(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        t.matmul(a, b)
+        t.bmm(a, b)
+    # 1-D operands are refused too, not left to fail in backward
+    vec = t.constant(np.zeros(3))
+    with pytest.raises(ValueError, match=r"\(3,\).*\(3, 2\)"):
+        t.bmm(vec, t.constant(np.zeros((3, 2))))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+        t.bmm(a, vec)
 
 
 def test_sum_matmul_grad_is_bt_broadcast():
@@ -44,7 +50,7 @@ def test_sum_matmul_grad_is_bt_broadcast():
     b = rng.normal(size=(4, 2))
     t = Tape()
     na = t.leaf(a)
-    root = t.sum(t.matmul(na, t.constant(b)))
+    root = t.sum(t.bmm(na, t.constant(b)))
     g = t.backward(root)[na]
     # d sum(AB) / dA has B's row sums broadcast down the rows
     assert np.allclose(g, np.tile(b.sum(axis=1), (3, 1)))
@@ -63,7 +69,7 @@ def test_linear_is_bitwise_matmul_plus_bias():
     probe = rng.normal(size=(5, 4))
     _assert_same_rows(
         _value_and_grads(lambda t, n: t.linear(*n), [x, w, b], probe),
-        _value_and_grads(lambda t, n: t.add(t.matmul(n[0], n[1]), n[2]), [x, w, b],
+        _value_and_grads(lambda t, n: t.add(t.bmm(n[0], n[1]), n[2]), [x, w, b],
                          probe))
     t = Tape()
     with pytest.raises(ValueError, match=r"\(5, 3\).*\(4, 3\)"):
@@ -256,7 +262,7 @@ def test_backward_bitwise_deterministic():
     def build():
         t = Tape()
         na, nb = t.leaf(a), t.leaf(b)
-        root = t.sum(t.gelu(t.add(t.matmul(na, nb), t.mul(na, nb))))
+        root = t.sum(t.gelu(t.add(t.bmm(na, nb), t.mul(na, nb))))
         return t, na, root
 
     t1, n1, r1 = build()
@@ -363,7 +369,7 @@ OPS = {
     "scale": (lambda r: [r.normal(size=(3, 3))],
               lambda t, n: t.scale(n[0], -1.7)),
     "matmul": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2))],
-               lambda t, n: t.matmul(n[0], n[1])),
+               lambda t, n: t.bmm(n[0], n[1])),
     "linear": (lambda r: [r.normal(size=(3, 4)), r.normal(size=(4, 2)),
                           r.normal(size=2)],
                lambda t, n: t.linear(n[0], n[1], n[2])),
