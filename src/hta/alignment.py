@@ -34,27 +34,8 @@ class AlignmentBatch:
         return len(self.clips)
 
 
-def info_nce(v: np.ndarray, t: np.ndarray, tau: float) -> float:
-    """Symmetric info-NCE: mean over i of the two cross-entropy terms with
-    positives on the diagonal of v @ t.T / tau."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    v = np.asarray(v, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if v.shape != t.shape or v.ndim != 2:
-        raise ValueError(f"embedding shapes differ: {v.shape} vs {t.shape}")
-    logits = (v @ t.T) / tau
-    return float(_ce_diag(logits) + _ce_diag(logits.T))
-
-
-def _ce_diag(z: np.ndarray) -> float:
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    return float((lse - np.diag(z)).mean())
-
-
 def info_nce_node(tape: Tape, v: int, t: int, log_tau: int) -> int:
-    """Tape version of info_nce with tau = exp(log_tau)."""
+    """Tape version of `oracles.info_nce`, with tau = exp(log_tau)."""
     sims = tape.bmm(v, tape.transpose(t))
     scaled = tape.mul(sims, tape.exp(tape.scale(log_tau, -1.0)))
     return tape.add(tape.cross_entropy_diag(scaled),
@@ -69,13 +50,6 @@ def total_loss_node(tape: Tape, batch: AlignmentBatch, pid: dict[str, int],
     c = encode_text(tape, batch.captions, pid, tcfg)
     lt = pid["log_tau"]
     return tape.add(info_nce_node(tape, v, s, lt), info_nce_node(tape, v, c, lt))
-
-
-def total_loss(batch: AlignmentBatch, params: dict[str, np.ndarray],
-               vcfg: VideoTowerConfig, tcfg: TextTowerConfig) -> float:
-    tape = Tape()
-    pid = register_params(tape, params)
-    return float(tape.value(total_loss_node(tape, batch, pid, vcfg, tcfg)))
 
 
 def cosine_lr(step: int, config: TrainConfig) -> float:

@@ -1,7 +1,8 @@
 """Command-line entry point: mask dumps, training, evaluation, curation.
 
-Exit codes: 0 success, 1 usage, contract or config error or a diverged
-training run, 2 I/O or transport error or a curate worker that died.
+Exit codes: 0 success, 1 usage, contract or config error, a diverged
+training run or an allocation that failed, 2 I/O or transport error or a
+curate worker that died.
 Every run that writes an artifact also writes a reproducibility manifest
 (<out>.manifest.json) with the config hash, seed, and package version.
 
@@ -118,6 +119,9 @@ def cmd_train(args) -> int:
     if clips.ndim != 5:
         raise ValueError(f"clips.hta must be [B, T, H, W, 3], got {clips.shape}")
     subtitles, captions = _read_texts(data / "texts.json", args.vocab, args.context)
+    if not len(subtitles) == len(captions) == len(clips):
+        raise ValueError(f"{data / 'texts.json'}: {len(subtitles)} subtitles and "
+                         f"{len(captions)} captions for {len(clips)} clips in clips.hta")
     dataset = alignment.AlignmentBatch(list(clips), subtitles, captions)
 
     t, h, w, _ = clips.shape[1:]
@@ -156,11 +160,13 @@ def cmd_eval(args) -> int:
     from .tensor_io import read_tensor
     video = read_tensor(args.video_emb)
     text = read_tensor(args.text_emb)
+    if video.ndim != 2 or len(video) < 1 or video.shape != text.shape:
+        raise ValueError(f"{args.video_emb} {video.shape} and {args.text_emb} "
+                         f"{text.shape}: want two [Q, D] of one shape, Q >= 1")
     queries, candidates = (text, video) if args.direction == "t2v" else (video, text)
     r = retrieval.paired_ranks(queries, candidates,
                                alpha=args.alpha if args.dsl else None)
-    report = retrieval.metrics_from_ranks(r)
-    payload = json.dumps(report.as_dict(), indent=2)
+    payload = json.dumps(retrieval.metrics_from_ranks(r), indent=2)
     if args.out:
         Path(args.out).write_text(payload)
         _write_manifest(args.out, vars(args), args.seed)
@@ -338,8 +344,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, DivergenceError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except OSError as exc:          # datapipe.TransportError too
         print(f"i/o error: {exc}", file=sys.stderr)

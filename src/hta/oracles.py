@@ -1,6 +1,6 @@
-"""Independent brute-force oracles: entry-by-entry mask predicates and a
-sort-based retrieval ranker. Deliberately written with explicit loops so they
-share no code path with the vectorized constructors they check. A mask is
+"""Independent references: entry-by-entry mask predicates, a sort-based
+retrieval ranker and the closed-form info-NCE loss, which the tape's loss
+node must match. They share no code path with the code they check. A mask is
 True where attention is blocked, as in `hta.masks`."""
 
 from __future__ import annotations
@@ -69,3 +69,22 @@ def brute_force_ranks(s: np.ndarray) -> np.ndarray:
         order = sorted(range(q), key=lambda j: (-s[i, j], 1 if j == i else 0))
         ranks[i] = order.index(i) + 1
     return ranks
+
+
+def info_nce(v: np.ndarray, t: np.ndarray, tau: float) -> float:
+    """Symmetric info-NCE: mean over i of the two cross-entropy terms with
+    positives on the diagonal of v @ t.T / tau."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    v = np.asarray(v, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if v.shape != t.shape or v.ndim != 2:
+        raise ValueError(f"embedding shapes differ: {v.shape} vs {t.shape}")
+    logits = (v @ t.T) / tau
+    return float(_ce_diag(logits) + _ce_diag(logits.T))
+
+
+def _ce_diag(z: np.ndarray) -> float:
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    return float((lse - np.diag(z)).mean())

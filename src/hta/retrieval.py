@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +30,6 @@ from .config import usable_cores
 # 26-row blocks ranked about 18% faster than 13-row ones (2-vCPU Xeon,
 # OpenBLAS at 1 thread).
 BLOCK_ELEMS = 1 << 18
-
-
-@dataclass(frozen=True)
-class RetrievalReport:
-    r1: float
-    r5: float
-    r10: float
-    avg: float
-    mdr: float
-    mnr: float
-
-    def as_dict(self) -> dict:
-        return {"R@1": self.r1, "R@5": self.r5, "R@10": self.r10,
-                "Avg": self.avg, "MdR": self.mdr, "MnR": self.mnr}
 
 
 def _pair(queries, candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +217,9 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     return r
 
 
-def metrics_from_ranks(r: np.ndarray) -> RetrievalReport:
+def metrics_from_ranks(r: np.ndarray) -> dict[str, float]:
+    """{"R@1", "R@5", "R@10", "Avg", "MdR", "MnR"}: recalls in percent, their
+    mean, and the median and mean rank, as `hta eval` prints them."""
     r = np.asarray(r)
     if r.ndim != 1 or len(r) == 0 or (r < 1).any():
         raise ValueError("ranks must be a non-empty 1-D array of values >= 1")
@@ -244,5 +231,5 @@ def metrics_from_ranks(r: np.ndarray) -> RetrievalReport:
     r1, r5, r10 = recall(1), recall(5), recall(10)
     order = np.sort(r)
     mdr = float(order[(q - 1) // 2])   # lower of the two middles for even Q
-    return RetrievalReport(r1, r5, r10, (r1 + r5 + r10) / 3.0, mdr,
-                           float(r.mean()))
+    return {"R@1": r1, "R@5": r5, "R@10": r10, "Avg": (r1 + r5 + r10) / 3.0,
+            "MdR": mdr, "MnR": float(r.mean())}

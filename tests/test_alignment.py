@@ -6,12 +6,14 @@ import pytest
 
 from hta import alignment
 from hta.alignment import (AdamW, AlignmentBatch, DivergenceError, TrainConfig,
-                           clip_by_global_norm, cosine_lr, info_nce,
-                           info_nce_node, total_loss, train)
+                           clip_by_global_norm, cosine_lr, info_nce_node,
+                           total_loss_node, train)
 from hta.masks import TokenLayout
+from hta.oracles import info_nce
 from hta.tape import Tape
 from hta.towers import (TextTowerConfig, VideoTowerConfig, init_text_params,
-                        init_video_params, text_embedding, video_embedding)
+                        init_video_params, register_params, text_embedding,
+                        video_embedding)
 
 LAYOUT = TokenLayout(T=2, N=4, U=1, V=1, r=2, d=8)
 VCFG = VideoTowerConfig(layout=LAYOUT, L=1, heads=2, D=4, patch=4)
@@ -85,7 +87,9 @@ def test_info_nce_node_matches_plain():
 def test_total_loss_is_sum_of_two_terms():
     params, batch = tiny_setup()
     params["log_tau"] = np.asarray(math.log(0.07))
-    loss = total_loss(batch, params, VCFG, TCFG)
+    tape = Tape()
+    pid = register_params(tape, params)
+    loss = float(tape.value(total_loss_node(tape, batch, pid, VCFG, TCFG)))
     v = np.stack([video_embedding(c, params, VCFG) for c in batch.clips])
     s = np.stack([text_embedding(x, params, TCFG) for x in batch.subtitles])
     c = np.stack([text_embedding(x, params, TCFG) for x in batch.captions])

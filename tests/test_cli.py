@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hta import alignment, config, datapipe, selftest
 from hta.alignment import TrainConfig
-from hta.cli import run
+from hta.cli import build_parser, run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
 from hta.tensor_io import load_checkpoint, write_tensor
 
@@ -168,6 +169,17 @@ def test_help_exits_0(capsys):
         run(["train", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: hta train")
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+    assert {argv[1] for argv in commands} == {"mask", "train", "eval", "curate", "selftest"}
+    for argv in commands:
+        assert argv[0] == "hta"
+        build_parser().parse_args(argv[1:])     # a usage error raises ValueError
 
 
 def test_module_form_runs_the_cli(tmp_path):
@@ -593,6 +605,34 @@ def test_train_bad_clip_rank_exits_1(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("subtitles, captions", [(3, 4), (4, 5)])
+def test_train_texts_count_error_names_the_file(tmp_path, capsys, subtitles, captions):
+    model = small_dataset(tmp_path / "data")       # 4 clips
+    texts = tmp_path / "data" / "texts.json"
+    texts.write_text(json.dumps({"subtitles": [[1]] * subtitles,
+                                 "captions": [[2]] * captions}))
+    assert run(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
+                *model]) == 1
+    assert capsys.readouterr().err == (f"error: {texts}: {subtitles} subtitles and "
+                                       f"{captions} captions for 4 clips in clips.hta\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_allocation_failure_exits_1_with_one_line(monkeypatch, capsys):
+    # slt_mask's int64 temporary here is about 727 TiB, more than a process
+    # can map, so it fails at once under any overcommit setting
+    argv = ["mask", "dump", "--layout", "10000000,1,0,1,2", "--family", "slt"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def no_memory(layout):
+        raise MemoryError        # as Python's own allocators do: no message
+    monkeypatch.setattr("hta.masks.slt_mask", no_memory)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 MALFORMED_TEXTS = {name: json.dumps(texts) for name, texts in {
     "list": [],
     "int subtitles": {"subtitles": 5, "captions": [[1], [2]]},
@@ -644,12 +684,24 @@ def test_eval_errors_exit_1(tmp_path, capsys):
     assert run_eval("t.hta", "--dsl", "--alpha", "0") == 1
     assert run_eval("t.hta", "--dsl", "--alpha", "-2") == 1
     err = capsys.readouterr().err
-    for text in ("dims differ", "square", "non-finite", "alpha"):
+    for text in ("want two [Q, D] of one shape", "non-finite", "alpha"):
         assert text in err
     for alpha in ("nan", "inf"):
         assert run_eval("t.hta", "--dsl", "--alpha", alpha) == 1
         err = capsys.readouterr().err
         assert err == f"error: alpha must be finite and positive, got {alpha}\n"
+
+
+@pytest.mark.parametrize("video, text", [((5, 5), (6, 5)), ((5, 5), (5,)),
+                                         ((5, 5), (5, 4)), ((0, 5), (0, 5))],
+                         ids=["rows differ", "1-D", "dims differ", "0 rows"])
+def test_eval_shape_error_names_both_files(tmp_path, capsys, video, text):
+    v, t = tmp_path / "v.hta", tmp_path / "t.hta"
+    write_tensor(v, np.ones(video))
+    write_tensor(t, np.ones(text))
+    assert run(["eval", "--video-emb", str(v), "--text-emb", str(t)]) == 1
+    assert capsys.readouterr().err == (f"error: {v} {video} and {t} {text}: "
+                                       "want two [Q, D] of one shape, Q >= 1\n")
 
 
 def test_selftest_command(capsys):

@@ -47,24 +47,24 @@ def test_ranks_monotone_transform_invariant():
 
 def test_metrics_from_ranks_fixture():
     rep = metrics_from_ranks(np.array([1, 2, 6]))
-    assert rep.r1 == pytest.approx(100 / 3, abs=1e-9)
-    assert rep.r5 == pytest.approx(200 / 3, abs=1e-9)
-    assert rep.r10 == pytest.approx(100.0)
-    assert rep.mdr == 2
-    assert rep.mnr == pytest.approx(3.0)
+    assert rep["R@1"] == pytest.approx(100 / 3, abs=1e-9)
+    assert rep["R@5"] == pytest.approx(200 / 3, abs=1e-9)
+    assert rep["R@10"] == pytest.approx(100.0)
+    assert rep["MdR"] == 2
+    assert rep["MnR"] == pytest.approx(3.0)
 
 
 def test_mdr_even_count_takes_lower_middle():
-    assert metrics_from_ranks(np.array([1, 2, 3, 10])).mdr == 2
-    assert metrics_from_ranks(np.array([4, 4])).mdr == 4
+    assert metrics_from_ranks(np.array([1, 2, 3, 10]))["MdR"] == 2
+    assert metrics_from_ranks(np.array([4, 4]))["MdR"] == 4
 
 
 def test_evaluate_perfect_and_worst_case():
     rep = metrics_from_ranks(ranks(np.eye(5)))
-    assert (rep.r1, rep.r5, rep.r10) == (100.0, 100.0, 100.0)
-    assert rep.mdr == 1 and rep.mnr == 1.0
+    assert (rep["R@1"], rep["R@5"], rep["R@10"]) == (100.0, 100.0, 100.0)
+    assert rep["MdR"] == 1 and rep["MnR"] == 1.0
     rep = metrics_from_ranks(ranks(-np.eye(5)))  # diagonal strictly worst
-    assert rep.r1 == 0.0 and rep.mnr == 5.0
+    assert rep["R@1"] == 0.0 and rep["MnR"] == 5.0
 
 
 def test_evaluate_requires_square():
@@ -72,9 +72,9 @@ def test_evaluate_requires_square():
         ranks(np.zeros((2, 3)))
 
 
-def test_report_as_dict_keys():
-    d = metrics_from_ranks(ranks(np.eye(2))).as_dict()
-    assert set(d) == {"R@1", "R@5", "R@10", "MdR", "MnR", "Avg"}
+def test_report_keys_in_eval_order():
+    d = metrics_from_ranks(ranks(np.eye(2)))
+    assert list(d) == ["R@1", "R@5", "R@10", "Avg", "MdR", "MnR"]
     assert d["Avg"] == pytest.approx((d["R@1"] + d["R@5"] + d["R@10"]) / 3)
 
 
@@ -98,7 +98,7 @@ def test_dual_softmax_preserves_dominant_diagonal():
     np.fill_diagonal(s, 0.9)   # margin 0.3 > 0.2
     r = ranks(dual_softmax(s, alpha=100.0))
     assert (r == 1).all()
-    assert metrics_from_ranks(r).r1 == 100.0
+    assert metrics_from_ranks(r)["R@1"] == 100.0
 
 
 def test_dual_softmax_can_change_ranks():
@@ -108,7 +108,7 @@ def test_dual_softmax_can_change_ranks():
                   [0.1, 0.85, 0.3]])
     plain = metrics_from_ranks(ranks(s))
     dsl = metrics_from_ranks(ranks(dual_softmax(s, alpha=10.0)))
-    assert dsl.mnr <= plain.mnr
+    assert dsl["MnR"] <= plain["MnR"]
 
 
 # -- blocked ranking ---------------------------------------------------------
