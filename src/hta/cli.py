@@ -41,9 +41,12 @@ def _write_manifest(out_path, args_dict: dict, seed: int) -> None:
 
 def cmd_mask(args) -> int:
     from .masks import TokenLayout, gst_stacked_mask, mask_to_csv, mask_to_pgm, slt_mask
-    parts = [int(x) for x in args.layout.split(",")]
+    try:
+        parts = [int(x) for x in args.layout.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 5:
-        raise ValueError(f"--layout wants T,N,U,V,r, got {args.layout!r}")
+        raise ValueError(f"--layout wants five integers T,N,U,V,r, got {args.layout!r}")
     layout = TokenLayout(*parts)
     mask = slt_mask(layout) if args.family == "slt" else gst_stacked_mask(layout)
     text = mask_to_csv(mask) if args.format == "csv" else mask_to_pgm(mask)
@@ -116,8 +119,9 @@ def cmd_train(args) -> int:
 
     data = Path(args.data)
     clips = read_tensor(data / "clips.hta")
-    if clips.ndim != 5:
-        raise ValueError(f"clips.hta must be [B, T, H, W, 3], got {clips.shape}")
+    if clips.ndim != 5 or len(clips) < 1:
+        raise ValueError(f"{data / 'clips.hta'}: want [B, T, H, W, 3] with B >= 1, "
+                         f"got {clips.shape}")
     subtitles, captions = _read_texts(data / "texts.json", args.vocab, args.context)
     if not len(subtitles) == len(captions) == len(clips):
         raise ValueError(f"{data / 'texts.json'}: {len(subtitles)} subtitles and "
@@ -160,9 +164,9 @@ def cmd_eval(args) -> int:
     from .tensor_io import read_tensor
     video = read_tensor(args.video_emb)
     text = read_tensor(args.text_emb)
-    if video.ndim != 2 or len(video) < 1 or video.shape != text.shape:
+    if video.ndim != 2 or min(video.shape) < 1 or video.shape != text.shape:
         raise ValueError(f"{args.video_emb} {video.shape} and {args.text_emb} "
-                         f"{text.shape}: want two [Q, D] of one shape, Q >= 1")
+                         f"{text.shape}: want two [Q, D] of one shape, Q, D >= 1")
     queries, candidates = (text, video) if args.direction == "t2v" else (video, text)
     r = retrieval.paired_ranks(queries, candidates,
                                alpha=args.alpha if args.dsl else None)

@@ -1,19 +1,19 @@
 """The package's four invariant checks, each written once. `hta selftest`
 (`run`) calls them on small inputs; the acceptance suite calls them on its
 full inputs. A check returns None when the invariant holds on every input,
-else a one-line message that names the first input breaking it."""
+else a one-line message that names the first input breaking it. The masked
+weights check judges the weights that the towers' own blocks compute."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .masks import TokenLayout, gst_stacked_mask, slt_mask
 from .oracles import brute_force_ranks, reference_slt_mask, reference_stacked_mask
 from .retrieval import dual_softmax, paired_ranks
-from .tape import Tape, layer_norm_value, masked_softmax_value
-from .towers import VideoTowerConfig, init_video_params, register_params, slt_block
+from .tape import Tape
+from .towers import (VideoTowerConfig, gst_block, init_video_params, register_params,
+                     slt_block)
 
 
 def check_masks(layouts) -> str | None:
@@ -40,28 +40,36 @@ def check_slt_identity(config: VideoTowerConfig, params, inputs) -> str | None:
     return None
 
 
-def head_weights(x_pre, params, pre: str, mask, heads: int) -> list[np.ndarray]:
-    """Per-head attention weights of block `pre` on the rows x_pre, recomputed
-    in plain numpy from its layer norm and q/k projections."""
-    x, _, _ = layer_norm_value(x_pre, params[f"{pre}.ln.g"], params[f"{pre}.ln.b"])
-    q = x @ params[f"{pre}.wq"] + params[f"{pre}.bq"]
-    k = x @ params[f"{pre}.wk"] + params[f"{pre}.bk"]
-    dh = x.shape[1] // heads
-    return [masked_softmax_value(q[:, h * dh:(h + 1) * dh] @ k[:, h * dh:(h + 1) * dh].T
-                                 / math.sqrt(dh), mask) for h in range(heads)]
+class _Attended(Exception):
+    """Carries a block's first softmax node out of the block."""
 
 
 def layer_weights(config: VideoTowerConfig, params, z):
     """(label, weights, mask) for every head of the SlT and GST blocks of
-    every layer, each block applied to the same [S, d] sequence z."""
-    lay = config.layout
-    blocks = (("slt", z[1 + lay.num_mst:], slt_mask(lay)),
-              ("gst", z, gst_stacked_mask(lay)))
+    every layer, each block applied to the same [S, d] sequence z. The
+    weights are those of the block's own first masked softmax, its
+    [G, heads, t, t] groups laid out as [heads, t*G, t*G] (group g's position
+    t at t*G + g); the mask is the masks-module predicate."""
+    tape = Tape()
+    pid = register_params(tape, params, requires_grad=False)
+
+    def stop(logits, blocked):
+        raise _Attended(Tape.masked_softmax(tape, logits, blocked))
+    tape.masked_softmax = stop
+    x, lay = tape.constant(z[None]), config.layout
     for l in range(config.L):
-        for blk, x, mask in blocks:
-            for h, w in enumerate(head_weights(x, params, f"layer{l}.{blk}", mask,
-                                               config.heads)):
-                yield f"layer{l}.{blk} head {h}", w, mask
+        for blk, block, mask in (("slt", slt_block, slt_mask(lay)),
+                                 ("gst", gst_block, gst_stacked_mask(lay))):
+            try:
+                block(tape, x, l, pid, config)
+            except _Attended as hit:
+                w = hit.args[0].value[0]     # [G, heads, t, t] of the one clip
+            g, heads, t = w.shape[:3]
+            full = np.zeros((heads, t * g, t * g))
+            for k in range(g):
+                full[:, k::g, k::g] = w[k]
+            for h in range(heads):
+                yield f"layer{l}.{blk} head {h}", full[h], mask
 
 
 def check_masked_weights(cases) -> str | None:

@@ -44,7 +44,8 @@ def write_tensor(path, array) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Load a tensor file. The header is checked against the file size before
-    anything it announces is read, so a malformed file raises ValueError."""
+    anything it announces is read, so a malformed file raises ValueError, and
+    so does a file longer than its header announces."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
@@ -58,9 +59,13 @@ def read_tensor(path) -> np.ndarray:
                 f"{path}: truncated header: rank {rank} in {size} bytes")
         shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
         count = math.prod(shape)
-        if 8 + 4 * rank + 4 * count > size:
+        end = 8 + 4 * rank + 4 * count
+        if end > size:
             raise ValueError(
                 f"{path}: truncated payload: shape {shape} in {size} bytes")
+        if end < size:
+            raise ValueError(f"{path}: {size - end} bytes past the payload: "
+                             f"shape {shape} in {size} bytes")
         data = np.frombuffer(f.read(4 * count), dtype="<f4", count=count)
     return data.astype(np.float64).reshape(shape)
 

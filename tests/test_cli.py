@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hta import alignment, config, datapipe, selftest
+from hta import alignment, config, datapipe, selftest, towers
 from hta.alignment import TrainConfig
 from hta.cli import build_parser, run
 from hta.masks import TokenLayout, mask_to_csv, slt_mask
@@ -38,8 +38,10 @@ def test_mask_dump_pgm_file(tmp_path, capsys):
 
 
 def test_mask_dump_bad_layout_exits_1(capsys):
-    assert run(["mask", "dump", "--layout", "2,4", "--family", "slt"]) == 1
-    assert "error:" in capsys.readouterr().err
+    for layout in ("2,4", "4,4,a,1,2", "4,4,2,1,2,1", ""):
+        assert run(["mask", "dump", "--layout", layout, "--family", "slt"]) == 1
+        assert capsys.readouterr().err == (f"error: --layout wants five integers "
+                                           f"T,N,U,V,r, got {layout!r}\n")
 
 
 def test_eval_command(tmp_path, capsys):
@@ -618,6 +620,17 @@ def test_train_texts_count_error_names_the_file(tmp_path, capsys, subtitles, cap
     assert not (tmp_path / "o").exists()
 
 
+def test_train_without_clips_names_the_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_tensor(data / "clips.hta", np.zeros((0, 4, 16, 16, 3)))
+    (data / "texts.json").write_text(json.dumps({"subtitles": [], "captions": []}))
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {data / 'clips.hta'}: want [B, T, H, "
+                                       "W, 3] with B >= 1, got (0, 4, 16, 16, 3)\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_allocation_failure_exits_1_with_one_line(monkeypatch, capsys):
     # slt_mask's int64 temporary here is about 727 TiB, more than a process
     # can map, so it fails at once under any overcommit setting
@@ -693,15 +706,16 @@ def test_eval_errors_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("video, text", [((5, 5), (6, 5)), ((5, 5), (5,)),
-                                         ((5, 5), (5, 4)), ((0, 5), (0, 5))],
-                         ids=["rows differ", "1-D", "dims differ", "0 rows"])
+                                         ((5, 5), (5, 4)), ((0, 5), (0, 5)),
+                                         ((5, 0), (5, 0))],
+                         ids=["rows differ", "1-D", "dims differ", "0 rows", "0 dims"])
 def test_eval_shape_error_names_both_files(tmp_path, capsys, video, text):
     v, t = tmp_path / "v.hta", tmp_path / "t.hta"
     write_tensor(v, np.ones(video))
     write_tensor(t, np.ones(text))
     assert run(["eval", "--video-emb", str(v), "--text-emb", str(t)]) == 1
     assert capsys.readouterr().err == (f"error: {v} {video} and {t} {text}: "
-                                       "want two [Q, D] of one shape, Q >= 1\n")
+                                       "want two [Q, D] of one shape, Q, D >= 1\n")
 
 
 def test_selftest_command(capsys):
@@ -717,6 +731,29 @@ def test_selftest_names_the_input_that_breaks_an_invariant(monkeypatch, capsys):
     assert run(["selftest"]) == 1
     assert ("FAIL  mask oracle equivalence: slt mask differs from its oracle at "
             "TokenLayout(T=4, N=4, U=2") in capsys.readouterr().out
+    monkeypatch.undo()
+
+    def assert_weights_fail(block):
+        assert run(["selftest"]) == 1
+        out, err = capsys.readouterr()
+        assert (f"FAIL  masked attention weights: layer0.{block} head 0: a blocked "
+                "weight is not 0\n") in out and err == ""
+        monkeypatch.undo()
+
+    # a GST block that attends everything
+    monkeypatch.setattr(towers, "_gst_mask",
+                        lambda lay: np.zeros((lay.seq_len,) * 2, bool))
+    assert_weights_fail("gst")
+    # an SlT block that attends all T*N patches: stride 1, a mask that blocks nothing
+    attention = towers._attention
+
+    def slt_attends_all(tape, x, pre, pid, mask, heads, stride=1, rows=None):
+        if pre.endswith(".slt"):
+            n = tape.value(x).shape[1]
+            mask, stride = np.zeros((n, n), bool), 1
+        return attention(tape, x, pre, pid, mask, heads, stride, rows)
+    monkeypatch.setattr(towers, "_attention", slt_attends_all)
+    assert_weights_fail("slt")
 
 
 def test_importing_cli_loads_neither_selftest_nor_oracles():

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -58,6 +59,21 @@ def test_bad_magic_and_truncation(tmp_path):
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(q)
+
+
+def test_bytes_past_the_payload_raise_value_error(tmp_path):
+    p = tmp_path / "long.hta"
+    write_tensor(p, np.arange(6.0).reshape(2, 3))
+    p.write_bytes(p.read_bytes() + b"\x00" * 8)            # 8 bytes appended
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: 8 bytes past the payload: shape (2, 3) in 48 bytes")):
+        read_tensor(p)
+    write_tensor(p, np.arange(9.0).reshape(3, 3))
+    raw = p.read_bytes()
+    p.write_bytes(raw[:8] + struct.pack("<II", 2, 3) + raw[16:])   # (3, 3) payload
+    with pytest.raises(ValueError, match=re.escape(
+            f"{p}: 12 bytes past the payload: shape (2, 3) in 52 bytes")):
+        read_tensor(p)
 
 
 def test_every_proper_prefix_raises_value_error(tmp_path, capsys):

@@ -3,13 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erf
 
 from conftest import rel_err
 from hta import towers
 from hta.alignment import AlignmentBatch, total_loss_node
 from hta.masks import TokenLayout, gst_stacked_mask, slt_mask
-from hta.selftest import head_weights
+from hta.selftest import check_masked_weights, layer_weights
 from hta.tape import Tape, layer_norm_value
 from hta.towers import (TEXT_PARAMS, TextTowerConfig, VideoTowerConfig,
                         embed_frames_batch, encode_text, encode_video_batch,
@@ -160,12 +161,17 @@ def test_slt_shape_mismatch():
 # -- GST block --------------------------------------------------------------
 
 
+def gst_weights(params, z, layer):
+    """The per-head [S, S] weights that `gst_block` of `layer` computes on z."""
+    return [w for label, w, _ in layer_weights(CFG, params, z)
+            if label.startswith(f"layer{layer}.gst ")]
+
+
 def test_gst_patch_row_weights_only_mst_and_same_frame():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(9)
     z = rng.normal(size=(FIG3.seq_len, 8))
-    mask = gst_stacked_mask(FIG3)
-    for w in head_weights(z, params, "layer0.gst", mask, CFG.heads):
+    for w in gst_weights(params, z, 0):
         patch_row = w[3]                      # frame-0 patch 0
         allowed = {1, 2, 3, 4, 5, 6}          # [MST] x2 + frame-0 patches
         assert set(np.flatnonzero(patch_row > 0)) <= allowed
@@ -177,8 +183,7 @@ def test_gst_cls_row_spans_everything():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(10)
     z = rng.normal(size=(FIG3.seq_len, 8))
-    mask = gst_stacked_mask(FIG3)
-    for w in head_weights(z, params, "layer1.gst", mask, CFG.heads):
+    for w in gst_weights(params, z, 1):
         assert (w[0] > 0).all()
         assert abs(w[0].sum() - 1.0) <= 1e-12
 
@@ -187,10 +192,24 @@ def test_gst_mst_level1_skips_odd_frames():
     params = fig3_params(randomize_slt=True)
     rng = np.random.default_rng(11)
     z = rng.normal(size=(FIG3.seq_len, 8))
-    mask = gst_stacked_mask(FIG3)
     odd_frame_cols = list(range(7, 11)) + list(range(15, 19))
-    for w in head_weights(z, params, "layer0.gst", mask, CFG.heads):
+    for w in gst_weights(params, z, 0):
         assert (w[2][odd_frame_cols] == 0.0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 3), st.integers(1, 2),
+       st.integers(2, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+@example(3, 1, 0, 1, 2, 2, 0)      # one patch per frame, no [MST] level
+@example(2, 3, 3, 1, 2, 1, 0)      # levels 1 and 2 have strides r^u >= T
+def test_tower_weights_hold_the_masks_on_drawn_layouts(t, n, u, v, r, heads, seed):
+    lay = TokenLayout(T=t, N=n, U=u, V=v, r=r, d=4 * heads)
+    cfg = VideoTowerConfig(layout=lay, L=2, heads=heads, D=4)
+    rng = np.random.default_rng(seed)
+    params = randomized_slt_params(cfg, rng)
+    cases = list(layer_weights(cfg, params, rng.normal(size=(lay.seq_len, lay.d))))
+    assert len(cases) == 2 * cfg.L * heads
+    assert check_masked_weights(cases) is None
 
 
 def test_gst_block_frame_isolation():
