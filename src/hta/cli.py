@@ -128,9 +128,13 @@ def cmd_train(args) -> int:
                          f"{len(captions)} captions for {len(clips)} clips in clips.hta")
     dataset = alignment.AlignmentBatch(list(clips), subtitles, captions)
 
-    t, h, w, _ = clips.shape[1:]
-    # N exists only for a patch side >= 1; VideoTowerConfig rejects the others
-    n = (h // args.patch) * (w // args.patch) if args.patch >= 1 else 1
+    t, h, w, channels = clips.shape[1:]
+    p = args.patch                      # VideoTowerConfig rejects p < 1
+    if p >= 1 and not (t >= 1 and min(h, w) >= p and h % p == w % p == 0
+                       and channels == 3):
+        raise ValueError(f"{data / 'clips.hta'}: want T >= 1 frames of H x W x 3, H and "
+                         f"W positive multiples of the patch {p}, got {clips.shape}")
+    n = (h // p) * (w // p) if p >= 1 else 1
     layout = TokenLayout(T=t, N=n, U=args.hierarchies, V=args.mst_per_level,
                          r=args.temporal_scale, d=args.width)
     vcfg = VideoTowerConfig(layout=layout, L=args.layers, heads=args.heads,

@@ -6,14 +6,17 @@ of it.
 
 `similarity`, `dual_softmax` and `ranks` work on the full Q x Q matrix and
 are the reference. `paired_ranks` ranks from the embeddings one
-block of rows at a time (dual softmax takes its column statistics from blocks
-of columns first), on one thread per core that BLAS leaves free, with one
-O(block) memory budget shared by the threads; `hta eval` uses it. Its blocks
-follow the core count, so its ranks do not depend on the number of threads
-or the BLAS thread variables. Both paths share the tie rule and the
-softmax steps below. A block's scores can differ from the full product's in
-the last ulp where BLAS splits the product differently, and blocks shrink as
-cores are added, so near-ties may rank differently from the reference.
+block of rows at a time, on one thread per core that BLAS leaves free, with
+one O(block) memory budget shared by the threads; `hta eval` uses it. Dual
+softmax ranks a row by keys 2 alpha S_ij - w_j, with w_j the log of column
+j's exp sum from a first pass over blocks of columns; only a row whose keys
+lie too close to settle its rank is re-scored as `dual_softmax` does, by
+the same `_dual_softmax_rows`. Its blocks follow the core count, so its ranks
+do not depend on the number of threads or the BLAS thread variables. Both
+paths share the tie rule. A block's scores can differ from the full
+product's in the last ulp where BLAS splits the product differently, and
+blocks shrink as cores are added, so near-ties may rank differently from the
+reference.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .config import usable_cores
 # 26-row blocks ranked about 18% faster than 13-row ones (2-vCPU Xeon,
 # OpenBLAS at 1 thread).
 BLOCK_ELEMS = 1 << 18
+
+LOG_TINY = np.log(np.finfo(np.float64).tiny)      # the least normal, 2^-1022
 
 
 def _pair(queries, candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -56,16 +61,20 @@ def _check_square(shape: tuple, what: str) -> None:
         raise ValueError(f"{what} needs a square matrix, got {shape}")
 
 
-def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray,
-                       colsum: np.ndarray) -> np.ndarray:
-    """Rows z of alpha*S, re-scored in place: row-softmax(z) times the
+def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray, colsum: np.ndarray,
+                       cols=slice(None)) -> np.ndarray:
+    """Rows z of alpha*S re-scored at columns `cols`: row-softmax(z) times the
     column softmax, given the column max of alpha*S and the column sums of
-    exp(alpha*S - colmax)."""
-    col = np.exp(z - colmax)
-    col /= colsum
+    exp(alpha*S - colmax). The row softmax sums every column of z, which it
+    overwrites."""
+    col = z[:, cols] - colmax[cols]
+    np.exp(col, out=col)
+    col /= colsum[cols]
     z -= z.max(axis=1, keepdims=True)
     row = np.exp(z, out=z)
-    row /= row.sum(axis=1, keepdims=True)
+    total = row.sum(axis=1, keepdims=True)
+    row = row[:, cols]
+    row /= total
     row *= col
     return row
 
@@ -163,26 +172,54 @@ def _map_blocks(blocks: list[tuple[int, int]], workers: int, work) -> None:
         raise error
 
 
+def _rank_keys(z: np.ndarray, start: int, half_w: np.ndarray,
+               margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `start`.. of alpha*S, given as the block z whose row i has its
+    ground truth in column start + i, compared by their half keys
+    z - half_w: per row, the number of half keys above the ground truth's by
+    more than `margin`, and the number within `margin` of it, itself
+    included."""
+    h = z - half_w
+    i = np.arange(len(z))
+    d = h[i, start + i][:, None]
+    above = np.count_nonzero(h > d + margin, axis=1)
+    return above, np.count_nonzero(h >= d - margin, axis=1) - above
+
+
 def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
                  alpha: float | None = None) -> np.ndarray:
-    """ranks(similarity(queries, candidates)), or the ranks of its
-    dual_softmax with this alpha, from blocks of at least two rows (or, for
-    the column statistics, columns) on _workers() threads, about BLOCK_ELEMS
-    scores in flight in all.
+    """ranks(similarity(queries, candidates)), or ranks(dual_softmax(...,
+    alpha)), from blocks of at least two rows (or columns) on _workers()
+    threads, about BLOCK_ELEMS scores in flight in all.
 
-    Dual softmax first takes the column max and column sums from column
-    blocks: alpha times the transpose of similarity(candidates[a:b],
-    queries), copied in C order so that the axis-0 reductions add the rows in
-    index order as dual_softmax does. So it computes the scores twice. Every
-    block of either pass writes only its own slice of the column statistics
-    or the ranks, and the block height follows usable_cores(), not the thread
-    count, so the ranks do not depend on the number of threads. They
-    equal the full-matrix ranks wherever BLAS rounds each block's product as
-    it rounds the full one: always for exactly representable products, and
-    on OpenBLAS 0.3.31 at Q = 1k and 5k with 1, 2 and 4 threads. One column
-    block that spans every column is the transposed product, which can differ
-    in the last ulp (Q = 300, 363 and 500 on one core). Otherwise near-ties
-    may rank differently."""
+    Dual softmax ranks by keys. With z = alpha*S, log p_ij = k_ij - m_i -
+    log rho_i, where k_ij = 2 z_ij - w_j, w_j = log sum_k exp(z_kj), and the
+    row max m_i and shifted exp sum rho_i are one number per row, so within
+    a row the keys order the products. A first pass over column blocks,
+    similarity(candidates[a:b], queries) as it comes, takes w; a second over
+    row blocks compares half keys z - w/2 (k/2 exactly) without exp: a row's
+    rank is 1 + the number of keys above its ground truth's by more than a
+    margin that bounds how far the two computations round apart (see
+    below). The exact path re-scores, with _dual_softmax_rows and from the
+    block's own scores, a row where another key lies within the margin, at
+    those columns, and the rows whose ground-truth product could be
+    subnormal, at every column. The column max and sums it needs come from
+    those columns' blocks, alpha times the transpose of
+    similarity(candidates[a:b], queries), copied in C order so that the
+    axis-0 reductions add the rows in index order as dual_softmax does; each
+    is computed once, by the first row that needs it. When the keys could
+    overflow, or a score is not finite, every row takes the exact path,
+    after one pass over every column block.
+
+    Every block writes only its own slice of w, the column statistics or the
+    ranks, and the block height follows usable_cores(), not the thread
+    count, so the ranks do not depend on the number of threads. They equal
+    the full-matrix ranks wherever BLAS rounds each block's product as it
+    rounds the full one: always for exactly representable products, and on
+    OpenBLAS 0.3.31 at Q = 1k and 5k with 1, 2 and 4 threads. One column
+    block that spans every column is the transposed product, which can
+    differ in the last ulp (Q = 300, 363 and 500 on one core). Otherwise
+    near-ties may rank differently."""
     q, c = _pair(queries, candidates)
     if alpha is not None:
         _check_alpha(alpha)
@@ -192,26 +229,102 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     # block is as wide as a row block is high, and none is one row or column thin
     blocks = _row_blocks(n, max(2, BLOCK_ELEMS // max(usable_cores() * n, 1)))
     r = np.empty(n, dtype=np.int64)
+    if alpha is None:
+        def plain(a, b):
+            r[a:b] = _rank_rows(similarity(q[a:b], c), a)
 
-    if alpha is not None:
-        colmax, colsum = np.empty(n), np.empty(n)
+        _map_blocks(blocks, workers, plain)
+        return r
 
-        def columns(a, b):
-            # rows a:b of S^T: BLAS rounds them as it rounds a row block
-            z = np.multiply(similarity(c[a:b], q).T, alpha, order="C")
-            _check_finite(z)          # also catches an alpha*S that overflows
-            z.max(axis=0, out=colmax[a:b])
-            z -= colmax[a:b]
-            np.exp(z, out=z).sum(axis=0, out=colsum[a:b])
+    colmax, colsum = np.empty(n), np.empty(n)
 
-        _map_blocks(blocks, workers, columns)
+    def columns(a, b):
+        # rows a:b of S^T: BLAS rounds them as it rounds a row block
+        z = np.multiply(similarity(c[a:b], q).T, alpha, order="C")
+        _check_finite(z)          # also catches an alpha*S that overflows
+        top = z.max(axis=0)
+        z -= top
+        colmax[a:b], colsum[a:b] = top, np.exp(z, out=z).sum(axis=0)
+
+    # Cauchy-Schwarz bounds every score of alpha*S, in any BLAS summation
+    # order (D < 2^30), by `big`; it is NaN or inf for non-finite embeddings.
+    with np.errstate(over="ignore"):
+        norms = [float(np.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0)))
+                 for x in (q, c)]
+    big = (1 + 2**-20) * alpha * norms[0] * norms[1]
+    keyed = 4 * big < np.inf     # else keys could overflow: every row is exact
+    half_w = np.empty(n)
+
+    def keys(a, b):
+        z = similarity(c[a:b], q)             # row j - a is column j of S
+        z *= alpha
+        top = z.max(axis=1, keepdims=True)
+        z -= top
+        half_w[a:b] = (top[:, 0] + np.log(np.exp(z, out=z).sum(axis=1))) / 2
+
+    _map_blocks(blocks, workers, keys if keyed else columns)
+
+    # The margin. Let u = 2^-53, M = big, and take numpy's exp and log within
+    # 4 ulps (8 u). Against k_ij - m_i - log rho_i, with w_j exact on the
+    # column blocks' scores, dual_softmax's log p_ij is off by at most
+    # u (6 M + Q + 27): two exp arguments (2 u M each), two exps (8 u each),
+    # the column sum (its Q terms and their order, (Q + 2 M + 8) u), two
+    # divisions and the product (u each); rho_i is one number per row. The
+    # key is off by at most u (6 M + 11 Q + 8): w's sum ((Q + 2 M + 8) u),
+    # log (8 u log Q), shift (u (M + log Q)) and 2 z - w (u (3 M + log Q)),
+    # with log Q <= Q. So where two keys differ by more than twice the sum,
+    # 2 u (12 M + 12 Q + 35), the products compare as the keys do while both
+    # are normal, and an entry whose key is lower is lower or subnormal. Half
+    # keys z - w/2 are the keys halved exactly, and the thresholds d +- margin
+    # round by at most u (2 M + Q): 64 u (M + Q + 8) leaves five times the
+    # half of that sum.
+    margin = 2**-47 * (big + n + 8)
+    # 2 d - m_i below the floor: p_ii could be below 2^-1022
+    floor = LOG_TINY + np.log(max(n, 1)) + 2 * margin
+    starts = np.array([a for a, _ in blocks])
+    locks = [threading.Lock() for _ in blocks]
+    done = [False] * len(blocks)
+
+    def exact_columns(cols):
+        # the blocks of these columns, each once; first those no other thread
+        # is computing
+        need = np.zeros(len(blocks), dtype=bool)
+        need[np.searchsorted(starts, cols, side="right") - 1] = True
+        for wait in (False, True):
+            for k in np.flatnonzero(need):
+                if locks[k].acquire(wait):
+                    try:
+                        if not done[k]:
+                            columns(*blocks[k])
+                            done[k] = True
+                    finally:
+                        locks[k].release()
 
     def rows(a, b):
         z = similarity(q[a:b], c)
-        if alpha is not None:
-            z *= alpha
-            z = _dual_softmax_rows(z, colmax, colsum)
-        r[a:b] = _rank_rows(z, a)
+        z *= alpha
+        if not keyed:
+            r[a:b] = _rank_rows(_dual_softmax_rows(z, colmax, colsum), a)
+            return
+        above, near = _rank_keys(z, a, half_w, margin)
+        r[a:b] = above + 1
+        i = np.arange(b - a)
+        d = z[i, a + i] - half_w[a:b]
+        # log p_ii >= 2 d - m_i - log Q to within the margin, and m_i <= big;
+        # the exact path re-scores the block's own rows (a one-row product
+        # would round otherwise)
+        low = 2 * d - big < floor
+        if low.any():
+            low = 2 * d - z.max(axis=1) < floor     # p_ii could be subnormal
+        for k in np.flatnonzero((near > 1) & ~low):  # keys within the margin
+            h = z[k] - half_w
+            cols = np.flatnonzero((h >= d[k] - margin) & ~(h > d[k] + margin))
+            exact_columns(cols)
+            p = _dual_softmax_rows(z[[k]], colmax, colsum, cols)
+            r[a + k] = above[k] + _rank_rows(p, np.searchsorted(cols, a + k))[0]
+        if low.any():                               # ranked over every column
+            exact_columns(np.arange(n))
+            r[a:b][low] = _rank_rows(_dual_softmax_rows(z, colmax, colsum), a)[low]
 
     _map_blocks(blocks, workers, rows)
     return r

@@ -87,15 +87,22 @@ def check_masked_weights(cases) -> str | None:
 def check_ranks(matrices) -> str | None:
     """The ranker of `hta eval`, retrieval.paired_ranks, equals the sort-based
     brute-force ranker exactly, on each square matrix s and on its dual
-    softmax. It ranks s against the identity, since s @ I = s exactly."""
+    softmax: at alpha = 100, at alpha = 1e5, where products underflow, and
+    at alpha = 100 on s / 100 with each odd column an ulp-nudged copy of the
+    one before, so that the exact path settles the near-ties. It ranks s
+    against the identity, since s @ I = s exactly."""
     for i, s in enumerate(matrices):
         eye = np.eye(len(s))
         if not np.array_equal(paired_ranks(s, eye), brute_force_ranks(s)):
             return f"ranks differ from the brute-force ranker on matrix {i} {s.shape}"
-        if not np.array_equal(paired_ranks(s, eye, alpha=100.0),
-                              brute_force_ranks(dual_softmax(s, 100.0))):
-            return (f"dual-softmax ranks differ from the brute-force ranker on "
-                    f"matrix {i} {s.shape}")
+        twins = s / 100
+        twins[:, 1::2] = np.nextafter(twins[:, :-1:2], np.inf)
+        for m, alpha, what in ((s, 100.0, ""), (s, 1e5, ""),
+                               (twins, 100.0, " with twin columns")):
+            if not np.array_equal(paired_ranks(m, eye, alpha),
+                                  brute_force_ranks(dual_softmax(m, alpha))):
+                return (f"dual-softmax ranks at alpha {alpha:g} differ from the "
+                        f"brute-force ranker on matrix {i} {s.shape}{what}")
     return None
 
 

@@ -631,6 +631,23 @@ def test_train_without_clips_names_the_file(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("shape", [(2, 0, 16, 16, 3), (2, 4, 0, 16, 3), (2, 4, 6, 6, 3)])
+def test_train_frames_not_whole_patches_name_the_file(tmp_path, capsys, shape):
+    # no frames, no rows, and 6 x 6 frames under 4 x 4 patches: each was
+    # blamed on the layout or the patch count, without the file
+    data = tmp_path / "data"
+    data.mkdir()
+    write_tensor(data / "clips.hta", np.zeros(shape))
+    (data / "texts.json").write_text(json.dumps({"subtitles": [[1], [2]],
+                                                 "captions": [[3], [4]]}))
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "o"), "--patch", "4"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'clips.hta'}: want T >= 1 frames of H x W x 3, H and W "
+        f"positive multiples of the patch 4, got {shape}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_allocation_failure_exits_1_with_one_line(monkeypatch, capsys):
     # slt_mask's int64 temporary here is about 727 TiB, more than a process
     # can map, so it fails at once under any overcommit setting

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from hta import retrieval
 from hta.oracles import brute_force_ranks
-from hta.retrieval import (_map_blocks, _rank_rows, _row_blocks, dual_softmax,
-                           metrics_from_ranks, paired_ranks, ranks, similarity)
+from hta.retrieval import (_dual_softmax_rows, _map_blocks, _rank_keys, _rank_rows,
+                           _row_blocks, dual_softmax, metrics_from_ranks, paired_ranks,
+                           ranks, similarity)
 
 
 def test_similarity_is_plain_inner_product():
@@ -127,6 +128,25 @@ def grid_pair(seed: int, q: int, dups: int):
     return queries, candidates
 
 
+def unit_pair(seed: int, q: int):
+    """Text and video rows as the benchmark's Q = 5k input draws them: unit
+    video rows v, and text rows v + 1.5 * noise, normalized."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(q, 32))
+    t = v + 1.5 * rng.normal(size=v.shape)
+    return tuple(x / np.linalg.norm(x, axis=1, keepdims=True) for x in (t, v))
+
+
+def recording(real, blocks):
+    """A stand-in for the function that scores a block, real: _rank_rows
+    ranks the blocks of S, _rank_keys compares the blocks of alpha*S by their
+    keys. It records (start, block) in `blocks`."""
+    def record(z, start, *args):
+        blocks.append((start, z.copy()))
+        return real(z, start, *args)
+    return record
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 5),
        shape=st.sampled_from(["1", "2", "rows-1", "rows", "rows+1", "2rows+1",
@@ -141,23 +161,22 @@ def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups
          "2rows+1": 2 * rows + 1, "1000": 1000, "1352": 1352}[shape]
     q = max(q, 1)
     block = retrieval.BLOCK_ELEMS if q >= 1000 else rows * q
+    # With alpha, the blocks scored are those of alpha*S that the key pass
+    # compares, and whose rows the exact path re-scores.
     queries, candidates = grid_pair(seed, q, dups)
     s = similarity(queries, candidates)
-    full = s if alpha is None else dual_softmax(s, alpha)
     blocks = []
-
-    def rank_rows(z, start):
-        blocks.append((start, z.copy()))
-        return _rank_rows(z, start)
-
+    real = _rank_rows if alpha is None else _rank_keys
     with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval.usable_cores()), \
-            mock.patch.object(retrieval, "_rank_rows", side_effect=rank_rows):
+            mock.patch.object(retrieval, real.__name__,
+                              side_effect=recording(real, blocks)):
         got = paired_ranks(queries, candidates, alpha)
     blocks.sort(key=lambda blk: blk[0])
-    assert np.array_equal(got, ranks(full))
+    assert np.array_equal(got, ranks(s if alpha is None else dual_softmax(s, alpha)))
     assert [a for a, _ in blocks] == [a for a, _ in _row_blocks(q, max(2, block // q))]
     assert all(len(z) >= 2 for _, z in blocks) or q == 1
-    assert np.array_equal(np.concatenate([z for _, z in blocks]), full)
+    assert np.array_equal(np.concatenate([z for _, z in blocks]),
+                          s if alpha is None else alpha * s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,19 +202,17 @@ def test_paired_ranks_do_not_depend_on_the_thread_count(seed, rows, q, workers,
 def test_scored_blocks_do_not_depend_on_the_thread_count(alpha):
     # at Q = 363, blocks sized by the thread count (one 363-row block on one
     # thread, 361 + 2 rows on two) round scores differently in the last ulp
-    # (566 of them on OpenBLAS 0.3.31 at 1 BLAS thread), which flips near-ties
+    # (566 of them on OpenBLAS 0.3.31 at 1 BLAS thread), which flips
+    # near-ties. With alpha, the key pass's blocks are recorded.
     rng = np.random.default_rng(0)
     queries, candidates = rng.normal(size=(363, 32)), rng.normal(size=(363, 32))
+    real = _rank_rows if alpha is None else _rank_keys
     scored = {}
     for workers in (1, 2):
         blocks = scored[workers] = []
-
-        def rank_rows(z, start, blocks=blocks):
-            blocks.append((start, z.copy()))
-            return _rank_rows(z, start)
-
         with mock.patch.object(retrieval, "_workers", lambda: workers), \
-                mock.patch.object(retrieval, "_rank_rows", side_effect=rank_rows):
+                mock.patch.object(retrieval, real.__name__,
+                                  side_effect=recording(real, blocks)):
             paired_ranks(queries, candidates, alpha)
         blocks.sort(key=lambda blk: blk[0])
     assert [a for a, _ in scored[1]] == [a for a, _ in scored[2]]
@@ -259,11 +276,34 @@ def test_map_blocks_runs_every_block_once():
     assert sorted(seen) == blocks
 
 
+def test_exact_column_blocks_run_once_under_contention():
+    """More threads than cores and a short switch interval: at alpha = 1e5,
+    rows on every thread need every exact column block at once; each block
+    runs once, and the ranks are those of one thread."""
+    queries, candidates = unit_pair(4, 60)
+    ranked = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 8):
+            with mock.patch.object(retrieval, "BLOCK_ELEMS", 2 * 60), \
+                    mock.patch.object(retrieval, "usable_cores", lambda: 1), \
+                    mock.patch.object(retrieval, "_workers", lambda: workers), \
+                    mock.patch.object(retrieval, "similarity", wraps=similarity) as sim:
+                assert run_bounded(lambda: ranked.update(
+                    {workers: paired_ranks(queries, candidates, 1e5)})) is None
+            assert len(sim.call_args_list) == 3 * len(_row_blocks(60, 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(ranked[1], ranked[8])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha, passes", [(None, 1), (100.0, 2)])
 def test_dual_softmax_computes_the_scores_twice(workers, alpha, passes):
-    # one pass of column blocks for the column statistics, one of row blocks
-    queries, candidates = grid_pair(2, 50, 0)
+    # one pass of column blocks for the key columns, one of row blocks; the
+    # input has no near-tie and no product near underflow, so no row is exact
+    queries, candidates = unit_pair(2, 50)
     with mock.patch.object(retrieval, "BLOCK_ELEMS", 12 * 50), \
             mock.patch.object(retrieval, "_workers", lambda: workers), \
             mock.patch.object(retrieval, "usable_cores", lambda: workers), \
@@ -271,6 +311,114 @@ def test_dual_softmax_computes_the_scores_twice(workers, alpha, passes):
         paired_ranks(queries, candidates, alpha)
     # call_args_list, not call_count: its append does not race between threads
     assert len(sim.call_args_list) == passes * len(_row_blocks(50, 12 // workers))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["duplicate", "underflow"])
+def test_exact_rows_score_only_the_column_blocks_they_need(workers, case):
+    # a duplicated candidate puts rows 7 and 31 on the exact path, which scores
+    # the column blocks of those two candidates once; at alpha = 1e5 some
+    # ground-truth products underflow, and their rows need every column block
+    queries, candidates = unit_pair(2, 50)
+    candidates[31] = candidates[7]
+    alpha = 100.0 if case == "duplicate" else 1e5
+    blocks = _row_blocks(50, 12 // workers)
+    starts = [a for a, _ in blocks]
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", 12 * 50), \
+            mock.patch.object(retrieval, "_workers", lambda: workers), \
+            mock.patch.object(retrieval, "usable_cores", lambda: workers), \
+            mock.patch.object(retrieval, "similarity", wraps=similarity) as sim, \
+            mock.patch.object(retrieval, "_dual_softmax_rows",
+                              wraps=_dual_softmax_rows) as exact:
+        paired_ranks(queries, candidates, alpha)
+    if case == "duplicate":
+        extra = len({np.searchsorted(starts, j, side="right") for j in (7, 31)})
+        assert len(exact.call_args_list) == 2
+    else:
+        extra = len(blocks)
+        assert exact.call_args_list
+    assert len(sim.call_args_list) == 2 * len(blocks) + extra
+
+
+def nudge(rng, s, frac):
+    """s with a share `frac` of its entries moved 1 to 4 ulps up or down."""
+    s = s.copy()
+    pick = rng.random(s.shape) < frac
+    steps = rng.integers(1, 5, size=s.shape)
+    toward = np.where(rng.random(s.shape) < 0.5, -np.inf, np.inf)
+    for k in range(1, 5):
+        at = pick & (steps >= k)
+        s[at] = np.nextafter(s[at], toward[at])
+    return s
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 300), rows=st.integers(2, 9),
+       workers=st.sampled_from([1, 3]), log_scale=st.floats(-3, 6),
+       log_alpha=st.floats(-1, 5), huge=st.booleans(), dups=st.integers(0, 30),
+       frac=st.sampled_from([0.0, 0.05, 0.5]))
+def test_paired_ranks_equal_dual_softmax_ranks_exactly(seed, q, rows, workers, log_scale,
+                                                       log_alpha, huge, dups, frac):
+    # s @ I = s, so no BLAS rounding enters: keys and the exact path rank as
+    # the reference does, through duplicated rows and columns, ulp-near
+    # ties, zero and subnormal products, and alpha*S near 1e307
+    rng = np.random.default_rng(seed)
+    alpha = 10.0 ** log_alpha
+    s = rng.normal(size=(q, q)) * 10.0 ** log_scale
+    if huge:
+        s = s / np.abs(s).max() * (1e307 / alpha)
+    for _ in range(dups):
+        i, j = rng.integers(0, q, size=2)
+        if rng.random() < 0.5:
+            s[i] = s[j]
+        else:
+            s[:, i] = s[:, j]
+    s = nudge(rng, s, frac)
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", rows * q), \
+            mock.patch.object(retrieval, "usable_cores", lambda: 1), \
+            mock.patch.object(retrieval, "_workers", lambda: workers):
+        got = paired_ranks(s, np.eye(q), alpha)
+    assert np.array_equal(got, ranks(dual_softmax(s, alpha)))
+
+
+@pytest.mark.parametrize("reason", ["near-tie", "underflow", "overflow"])
+def test_each_exact_path_ranks_as_the_reference(reason):
+    # one input for each reason a row leaves the keys: a 1-ulp near-tie (rows
+    # 5 and 9 see two copies of one column), ground-truth products that
+    # underflow, and keys that could overflow (every row, no key pass)
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0, 0.1, size=(40, 40))
+    alpha = {"near-tie": 100.0, "underflow": 1e5, "overflow": 1e5}[reason]
+    if reason == "near-tie":
+        s[:, 9] = np.nextafter(s[:, 5], 1.0)
+    if reason == "overflow":
+        s = s / s.max() * (1e307 / alpha)
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", 4 * 40), \
+            mock.patch.object(retrieval, "usable_cores", lambda: 1), \
+            mock.patch.object(retrieval, "_rank_keys", wraps=_rank_keys) as keyed, \
+            mock.patch.object(retrieval, "_dual_softmax_rows",
+                              wraps=_dual_softmax_rows) as exact:
+        got = paired_ranks(s, np.eye(40), alpha)
+    assert np.array_equal(got, ranks(dual_softmax(s, alpha)))
+    blocks = len(_row_blocks(40, 4))
+    if reason == "overflow":            # no key pass, one exact call per row block
+        assert not keyed.call_args_list
+        assert len(exact.call_args_list) == blocks
+    else:                               # one exact call per exact row
+        assert len(keyed.call_args_list) == blocks
+        assert exact.call_args_list
+        if reason == "near-tie":
+            assert len(exact.call_args_list) == 2
+
+
+@pytest.mark.parametrize("direction", ["t2v", "v2t"])
+def test_benchmark_input_takes_no_exact_row(direction):
+    text, video = unit_pair(3, 1000)
+    queries, candidates = (text, video) if direction == "t2v" else (video, text)
+    with mock.patch.object(retrieval, "_dual_softmax_rows",
+                           wraps=_dual_softmax_rows) as exact:
+        paired_ranks(queries, candidates, 100.0)
+    assert not exact.call_args_list
 
 
 @pytest.mark.parametrize("fail_at", ["scores", "unordered"])
