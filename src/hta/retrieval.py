@@ -9,9 +9,10 @@ are the reference. `paired_ranks` ranks from the embeddings one
 block of rows at a time, on one thread per core that BLAS leaves free, with
 one O(block) memory budget shared by the threads; `hta eval` uses it. Dual
 softmax ranks a row by keys 2 alpha S_ij - w_j, with w_j the log of column
-j's exp sum from a first pass over blocks of columns; only a row whose keys
-lie too close to settle its rank is re-scored as `dual_softmax` does, by
-the same `_dual_softmax_rows`. Its blocks follow the core count, so its ranks
+j's exp sum from a first pass over blocks of columns; only a row the keys
+cannot settle (another key too close, or a product that could be
+subnormal) is re-scored as `dual_softmax` does, by the same
+`_dual_softmax_rows`. Its blocks follow the core count, so its ranks
 do not depend on the number of threads or the BLAS thread variables. Both
 paths share the tie rule. A block's scores can differ from the full
 product's in the last ulp where BLAS splits the product differently, and
@@ -61,20 +62,16 @@ def _check_square(shape: tuple, what: str) -> None:
         raise ValueError(f"{what} needs a square matrix, got {shape}")
 
 
-def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray, colsum: np.ndarray,
-                       cols=slice(None)) -> np.ndarray:
-    """Rows z of alpha*S re-scored at columns `cols`: row-softmax(z) times the
+def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray,
+                       colsum: np.ndarray) -> np.ndarray:
+    """Rows z of alpha*S, re-scored in place: row-softmax(z) times the
     column softmax, given the column max of alpha*S and the column sums of
-    exp(alpha*S - colmax). The row softmax sums every column of z, which it
-    overwrites."""
-    col = z[:, cols] - colmax[cols]
-    np.exp(col, out=col)
-    col /= colsum[cols]
+    exp(alpha*S - colmax)."""
+    col = np.exp(z - colmax)
+    col /= colsum
     z -= z.max(axis=1, keepdims=True)
     row = np.exp(z, out=z)
-    total = row.sum(axis=1, keepdims=True)
-    row = row[:, cols]
-    row /= total
+    row /= row.sum(axis=1, keepdims=True)
     row *= col
     return row
 
@@ -200,16 +197,17 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     row blocks compares half keys z - w/2 (k/2 exactly) without exp: a row's
     rank is 1 + the number of keys above its ground truth's by more than a
     margin that bounds how far the two computations round apart (see
-    below). The exact path re-scores, with _dual_softmax_rows and from the
-    block's own scores, a row where another key lies within the margin, at
-    those columns, and the rows whose ground-truth product could be
-    subnormal, at every column. The column max and sums it needs come from
-    those columns' blocks, alpha times the transpose of
+    below). A row whose ground-truth product could be subnormal, or where
+    another key lies within the margin, takes the exact path: its block's
+    own scores re-scored over the whole row by _dual_softmax_rows, with the
+    column max and sums of every column block, computed once when the first
+    row needs them. A column block is alpha times the transpose of
     similarity(candidates[a:b], queries), copied in C order so that the
-    axis-0 reductions add the rows in index order as dual_softmax does; each
-    is computed once, by the first row that needs it. When the keys could
-    overflow, or a score is not finite, every row takes the exact path,
-    after one pass over every column block.
+    axis-0 reductions add the rows in index order as dual_softmax does.
+    Every row takes the exact path, after one pass over every column block
+    and with no key pass, when the keys could overflow, a score is not
+    finite, or a bound from the diagonal alone says that most ground-truth
+    products could be subnormal.
 
     Every block writes only its own slice of w, the column statistics or the
     ranks, and the block height follows usable_cores(), not the thread
@@ -242,9 +240,9 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
         # rows a:b of S^T: BLAS rounds them as it rounds a row block
         z = np.multiply(similarity(c[a:b], q).T, alpha, order="C")
         _check_finite(z)          # also catches an alpha*S that overflows
-        top = z.max(axis=0)
-        z -= top
-        colmax[a:b], colsum[a:b] = top, np.exp(z, out=z).sum(axis=0)
+        z.max(axis=0, out=colmax[a:b])
+        z -= colmax[a:b]
+        np.exp(z, out=z).sum(axis=0, out=colsum[a:b])
 
     # Cauchy-Schwarz bounds every score of alpha*S, in any BLAS summation
     # order (D < 2^30), by `big`; it is NaN or inf for non-finite embeddings.
@@ -252,17 +250,6 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
         norms = [float(np.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0)))
                  for x in (q, c)]
     big = (1 + 2**-20) * alpha * norms[0] * norms[1]
-    keyed = 4 * big < np.inf     # else keys could overflow: every row is exact
-    half_w = np.empty(n)
-
-    def keys(a, b):
-        z = similarity(c[a:b], q)             # row j - a is column j of S
-        z *= alpha
-        top = z.max(axis=1, keepdims=True)
-        z -= top
-        half_w[a:b] = (top[:, 0] + np.log(np.exp(z, out=z).sum(axis=1))) / 2
-
-    _map_blocks(blocks, workers, keys if keyed else columns)
 
     # The margin. Let u = 2^-53, M = big, and take numpy's exp and log within
     # 4 ulps (8 u). Against k_ij - m_i - log rho_i, with w_j exact on the
@@ -280,25 +267,44 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     # half of that sum.
     margin = 2**-47 * (big + n + 8)
     # 2 d - m_i below the floor: p_ii could be below 2^-1022
-    floor = LOG_TINY + np.log(max(n, 1)) + 2 * margin
-    starts = np.array([a for a, _ in blocks])
+    log_n = np.log(max(n, 1))
+    floor = LOG_TINY + log_n + 2 * margin
+    keyed = 4 * big < np.inf     # else keys could overflow: every row is exact
+    if keyed:
+        # 2 d - m_i >= 2 (z_ii - big) - log Q, as w_i <= big + log Q and
+        # m_i <= big: if most rows could fall below the floor, the keys would
+        # send most rows to the exact path, and every row takes it at once
+        low = 2 * (alpha * np.einsum("ij,ij->i", q, c) - big) - log_n < floor
+        keyed = np.count_nonzero(low) <= n // 2
+    half_w = np.empty(n)
+
+    def keys(a, b):
+        z = similarity(c[a:b], q)             # row j - a is column j of S
+        z *= alpha
+        top = z.max(axis=1, keepdims=True)
+        z -= top
+        half_w[a:b] = (top[:, 0] + np.log(np.exp(z, out=z).sum(axis=1))) / 2
+
+    _map_blocks(blocks, workers, keys if keyed else columns)
     locks = [threading.Lock() for _ in blocks]
     done = [False] * len(blocks)
+    ready = threading.Event()
 
-    def exact_columns(cols):
-        # the blocks of these columns, each once; first those no other thread
-        # is computing
-        need = np.zeros(len(blocks), dtype=bool)
-        need[np.searchsorted(starts, cols, side="right") - 1] = True
+    def exact_columns():
+        # every column block once: first those no other thread is computing,
+        # then wait for the rest
+        if ready.is_set():
+            return
         for wait in (False, True):
-            for k in np.flatnonzero(need):
-                if locks[k].acquire(wait):
+            for k, lock in enumerate(locks):
+                if not done[k] and lock.acquire(wait):
                     try:
                         if not done[k]:
                             columns(*blocks[k])
                             done[k] = True
                     finally:
-                        locks[k].release()
+                        lock.release()
+        ready.set()
 
     def rows(a, b):
         z = similarity(q[a:b], c)
@@ -310,21 +316,19 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
         r[a:b] = above + 1
         i = np.arange(b - a)
         d = z[i, a + i] - half_w[a:b]
-        # log p_ii >= 2 d - m_i - log Q to within the margin, and m_i <= big;
-        # the exact path re-scores the block's own rows (a one-row product
-        # would round otherwise)
+        # log p_ii >= 2 d - m_i - log Q to within the margin, and m_i <= big
         low = 2 * d - big < floor
         if low.any():
             low = 2 * d - z.max(axis=1) < floor     # p_ii could be subnormal
-        for k in np.flatnonzero((near > 1) & ~low):  # keys within the margin
-            h = z[k] - half_w
-            cols = np.flatnonzero((h >= d[k] - margin) & ~(h > d[k] + margin))
-            exact_columns(cols)
-            p = _dual_softmax_rows(z[[k]], colmax, colsum, cols)
-            r[a + k] = above[k] + _rank_rows(p, np.searchsorted(cols, a + k))[0]
-        if low.any():                               # ranked over every column
-            exact_columns(np.arange(n))
-            r[a:b][low] = _rank_rows(_dual_softmax_rows(z, colmax, colsum), a)[low]
+        # the exact path re-scores the block's own rows (a one-row product
+        # would round otherwise): those with other keys within the margin,
+        # and those whose products could be subnormal
+        k = np.flatnonzero((near > 1) | low)
+        if len(k):
+            exact_columns()
+            p = _dual_softmax_rows(z[k], colmax, colsum)
+            r[a + k] = np.count_nonzero(p >= p[np.arange(len(k)), a + k][:, None],
+                                        axis=1)
 
     _map_blocks(blocks, workers, rows)
     return r

@@ -89,16 +89,21 @@ def check_ranks(matrices) -> str | None:
     brute-force ranker exactly, on each square matrix s and on its dual
     softmax: at alpha = 100, at alpha = 1e5, where products underflow, and
     at alpha = 100 on s / 100 with each odd column an ulp-nudged copy of the
-    one before, so that the exact path settles the near-ties. It ranks s
-    against the identity, since s @ I = s exactly."""
+    one before, and on s / 100 + 10 I with its first two rows swapped, whose
+    ground-truth products underflow there, so that the exact path settles
+    the near-ties and those two rows. It ranks s against the identity, since
+    s @ I = s exactly."""
     for i, s in enumerate(matrices):
         eye = np.eye(len(s))
         if not np.array_equal(paired_ranks(s, eye), brute_force_ranks(s)):
             return f"ranks differ from the brute-force ranker on matrix {i} {s.shape}"
         twins = s / 100
         twins[:, 1::2] = np.nextafter(twins[:, :-1:2], np.inf)
+        swapped = s / 100 + 10 * eye
+        swapped[:2] = swapped[1::-1]             # no-op for a 1 x 1 s
         for m, alpha, what in ((s, 100.0, ""), (s, 1e5, ""),
-                               (twins, 100.0, " with twin columns")):
+                               (twins, 100.0, " with twin columns"),
+                               (swapped, 100.0, " with two rows swapped")):
             if not np.array_equal(paired_ranks(m, eye, alpha),
                                   brute_force_ranks(dual_softmax(m, alpha))):
                 return (f"dual-softmax ranks at alpha {alpha:g} differ from the "

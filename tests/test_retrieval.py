@@ -139,12 +139,26 @@ def unit_pair(seed: int, q: int):
 
 def recording(real, blocks):
     """A stand-in for the function that scores a block, real: _rank_rows
-    ranks the blocks of S, _rank_keys compares the blocks of alpha*S by their
-    keys. It records (start, block) in `blocks`."""
+    ranks the blocks of S or of its dual softmax, _rank_keys compares the
+    blocks of alpha*S by their keys. It records (start, block) in `blocks`."""
     def record(z, start, *args):
         blocks.append((start, z.copy()))
         return real(z, start, *args)
     return record
+
+
+def scored_blocks(*args):
+    """paired_ranks(*args) and the blocks it scored, sorted by start: the
+    blocks _rank_keys compares when the keys rank, else those _rank_rows
+    ranks. Only one of the two scores blocks in a call."""
+    by_rows, by_keys = [], []
+    with mock.patch.object(retrieval, "_rank_rows",
+                           side_effect=recording(_rank_rows, by_rows)), \
+            mock.patch.object(retrieval, "_rank_keys",
+                              side_effect=recording(_rank_keys, by_keys)):
+        got = paired_ranks(*args)
+    assert not (by_rows and by_keys)
+    return got, sorted(by_rows or by_keys, key=lambda blk: blk[0]), bool(by_keys)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,21 +176,17 @@ def test_paired_ranks_equal_full_matrix_reference(seed, rows, shape, alpha, dups
     q = max(q, 1)
     block = retrieval.BLOCK_ELEMS if q >= 1000 else rows * q
     # With alpha, the blocks scored are those of alpha*S that the key pass
-    # compares, and whose rows the exact path re-scores.
+    # compares, and whose rows the exact path re-scores; or, where most
+    # ground-truth products could be subnormal, the dual-softmax blocks.
     queries, candidates = grid_pair(seed, q, dups)
     s = similarity(queries, candidates)
-    blocks = []
-    real = _rank_rows if alpha is None else _rank_keys
-    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval.usable_cores()), \
-            mock.patch.object(retrieval, real.__name__,
-                              side_effect=recording(real, blocks)):
-        got = paired_ranks(queries, candidates, alpha)
-    blocks.sort(key=lambda blk: blk[0])
+    with mock.patch.object(retrieval, "BLOCK_ELEMS", block * retrieval.usable_cores()):
+        got, blocks, keyed = scored_blocks(queries, candidates, alpha)
     assert np.array_equal(got, ranks(s if alpha is None else dual_softmax(s, alpha)))
     assert [a for a, _ in blocks] == [a for a, _ in _row_blocks(q, max(2, block // q))]
     assert all(len(z) >= 2 for _, z in blocks) or q == 1
-    assert np.array_equal(np.concatenate([z for _, z in blocks]),
-                          s if alpha is None else alpha * s)
+    want = s if alpha is None else alpha * s if keyed else dual_softmax(s, alpha)
+    assert np.array_equal(np.concatenate([z for _, z in blocks]), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,20 +213,24 @@ def test_scored_blocks_do_not_depend_on_the_thread_count(alpha):
     # at Q = 363, blocks sized by the thread count (one 363-row block on one
     # thread, 361 + 2 rows on two) round scores differently in the last ulp
     # (566 of them on OpenBLAS 0.3.31 at 1 BLAS thread), which flips
-    # near-ties. With alpha, the key pass's blocks are recorded.
+    # near-ties. With alpha, the dual-softmax blocks of these rows, most of
+    # whose ground-truth products could be subnormal, are recorded, and the
+    # key pass's blocks of the same rows normalized.
     rng = np.random.default_rng(0)
     queries, candidates = rng.normal(size=(363, 32)), rng.normal(size=(363, 32))
-    real = _rank_rows if alpha is None else _rank_keys
-    scored = {}
-    for workers in (1, 2):
-        blocks = scored[workers] = []
-        with mock.patch.object(retrieval, "_workers", lambda: workers), \
-                mock.patch.object(retrieval, real.__name__,
-                                  side_effect=recording(real, blocks)):
-            paired_ranks(queries, candidates, alpha)
-        blocks.sort(key=lambda blk: blk[0])
-    assert [a for a, _ in scored[1]] == [a for a, _ in scored[2]]
-    assert all(np.array_equal(z1, z2) for (_, z1), (_, z2) in zip(scored[1], scored[2]))
+    inputs = [(queries, candidates, False)]
+    if alpha is not None:
+        inputs.append((*(x / np.linalg.norm(x, axis=1, keepdims=True)
+                         for x in (queries, candidates)), True))
+    for queries, candidates, by_keys in inputs:
+        scored = {}
+        for workers in (1, 2):
+            with mock.patch.object(retrieval, "_workers", lambda: workers):
+                _, scored[workers], keyed = scored_blocks(queries, candidates, alpha)
+            assert keyed == by_keys
+        assert [a for a, _ in scored[1]] == [a for a, _ in scored[2]]
+        assert all(np.array_equal(z1, z2)
+                   for (_, z1), (_, z2) in zip(scored[1], scored[2]))
 
 
 @pytest.mark.parametrize("env, cores, want", [
@@ -277,25 +291,36 @@ def test_map_blocks_runs_every_block_once():
 
 
 def test_exact_column_blocks_run_once_under_contention():
-    """More threads than cores and a short switch interval: at alpha = 1e5,
-    rows on every thread need every exact column block at once; each block
-    runs once, and the ranks are those of one thread."""
+    """More threads than cores, a short switch interval and slow products:
+    every candidate has a twin, so rows on every thread need every exact
+    column block at once; each block runs once, no row is re-scored before
+    they all have, and the ranks are those of one thread."""
     queries, candidates = unit_pair(4, 60)
+    candidates[1::2] = candidates[::2]
+
+    def slow(*args):
+        time.sleep(0.0005)
+        return similarity(*args)
+
     ranked = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 8):
+        # 8 threads first, so that no earlier call's column statistics lie in
+        # the memory np.empty hands out
+        for workers in (8, 1):
             with mock.patch.object(retrieval, "BLOCK_ELEMS", 2 * 60), \
                     mock.patch.object(retrieval, "usable_cores", lambda: 1), \
                     mock.patch.object(retrieval, "_workers", lambda: workers), \
-                    mock.patch.object(retrieval, "similarity", wraps=similarity) as sim:
+                    mock.patch.object(retrieval, "similarity", side_effect=slow) as sim:
                 assert run_bounded(lambda: ranked.update(
-                    {workers: paired_ranks(queries, candidates, 1e5)})) is None
+                    {workers: paired_ranks(queries, candidates, 100.0)})) is None
             assert len(sim.call_args_list) == 3 * len(_row_blocks(60, 2))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(ranked[1], ranked[8])
+    s = similarity(queries, candidates)
+    assert np.array_equal(ranked[1], ranks(dual_softmax(s, 100.0)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -314,30 +339,39 @@ def test_dual_softmax_computes_the_scores_twice(workers, alpha, passes):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["duplicate", "underflow"])
-def test_exact_rows_score_only_the_column_blocks_they_need(workers, case):
-    # a duplicated candidate puts rows 7 and 31 on the exact path, which scores
-    # the column blocks of those two candidates once; at alpha = 1e5 some
-    # ground-truth products underflow, and their rows need every column block
+@pytest.mark.parametrize("case", ["duplicate", "underflow", "most underflow"])
+def test_exact_rows_score_every_column_block_once(workers, case):
+    # a duplicated candidate puts rows 7 and 31 on the exact path; at
+    # alpha = 300, so do their ground-truth products, which underflow when
+    # their candidates are their queries negated. Either way the exact path
+    # scores every column block once, and re-scores each row in the call for
+    # its row block. At alpha = 1e5 most ground-truth products could
+    # underflow, and every row takes the two exact passes, with no key pass.
     queries, candidates = unit_pair(2, 50)
-    candidates[31] = candidates[7]
-    alpha = 100.0 if case == "duplicate" else 1e5
+    if case == "duplicate":
+        candidates[31] = candidates[7]
+    if case == "underflow":
+        candidates[[7, 31]] = -queries[[7, 31]]
+    alpha = {"duplicate": 100.0, "underflow": 300.0, "most underflow": 1e5}[case]
     blocks = _row_blocks(50, 12 // workers)
-    starts = [a for a, _ in blocks]
     with mock.patch.object(retrieval, "BLOCK_ELEMS", 12 * 50), \
             mock.patch.object(retrieval, "_workers", lambda: workers), \
             mock.patch.object(retrieval, "usable_cores", lambda: workers), \
             mock.patch.object(retrieval, "similarity", wraps=similarity) as sim, \
+            mock.patch.object(retrieval, "_rank_keys", wraps=_rank_keys) as keyed, \
             mock.patch.object(retrieval, "_dual_softmax_rows",
                               wraps=_dual_softmax_rows) as exact:
-        paired_ranks(queries, candidates, alpha)
-    if case == "duplicate":
-        extra = len({np.searchsorted(starts, j, side="right") for j in (7, 31)})
-        assert len(exact.call_args_list) == 2
+        got = paired_ranks(queries, candidates, alpha)
+    assert np.array_equal(got, ranks(dual_softmax(similarity(queries, candidates),
+                                                  alpha)))
+    passes = 2 if case == "most underflow" else 3
+    assert len(sim.call_args_list) == passes * len(blocks)
+    if case == "most underflow":
+        assert not keyed.call_args_list
+        assert len(exact.call_args_list) == len(blocks)
     else:
-        extra = len(blocks)
-        assert exact.call_args_list
-    assert len(sim.call_args_list) == 2 * len(blocks) + extra
+        assert len(keyed.call_args_list) == len(blocks)
+        assert [len(z) for (z, *_), _ in exact.call_args_list] == [1, 1]
 
 
 def nudge(rng, s, frac):
@@ -381,16 +415,22 @@ def test_paired_ranks_equal_dual_softmax_ranks_exactly(seed, q, rows, workers, l
     assert np.array_equal(got, ranks(dual_softmax(s, alpha)))
 
 
-@pytest.mark.parametrize("reason", ["near-tie", "underflow", "overflow"])
+@pytest.mark.parametrize("reason", ["near-tie", "underflow", "most underflow",
+                                    "overflow"])
 def test_each_exact_path_ranks_as_the_reference(reason):
     # one input for each reason a row leaves the keys: a 1-ulp near-tie (rows
-    # 5 and 9 see two copies of one column), ground-truth products that
-    # underflow, and keys that could overflow (every row, no key pass)
+    # 5 and 9 see two copies of one column) and three ground-truth products
+    # that underflow (rows 3, 17 and 30) send those rows to the exact path;
+    # ground-truth products that could underflow in most rows, and keys that
+    # could overflow, send every row, with no key pass
     rng = np.random.default_rng(11)
     s = rng.uniform(0, 0.1, size=(40, 40))
-    alpha = {"near-tie": 100.0, "underflow": 1e5, "overflow": 1e5}[reason]
+    alpha = {"near-tie": 100.0, "underflow": 400.0}.get(reason, 1e5)
     if reason == "near-tie":
         s[:, 9] = np.nextafter(s[:, 5], 1.0)
+    if reason == "underflow":
+        s = np.eye(40) + s / 10
+        s[[3, 17, 30], [3, 17, 30]] = -1.0
     if reason == "overflow":
         s = s / s.max() * (1e307 / alpha)
     with mock.patch.object(retrieval, "BLOCK_ELEMS", 4 * 40), \
@@ -401,14 +441,13 @@ def test_each_exact_path_ranks_as_the_reference(reason):
         got = paired_ranks(s, np.eye(40), alpha)
     assert np.array_equal(got, ranks(dual_softmax(s, alpha)))
     blocks = len(_row_blocks(40, 4))
-    if reason == "overflow":            # no key pass, one exact call per row block
+    exact_rows = {"near-tie": [5, 9], "underflow": [3, 17, 30]}.get(reason)
+    if exact_rows is None:          # no key pass, one exact call per row block
         assert not keyed.call_args_list
         assert len(exact.call_args_list) == blocks
-    else:                               # one exact call per exact row
+    else:                           # one exact call per block of exact rows
         assert len(keyed.call_args_list) == blocks
-        assert exact.call_args_list
-        if reason == "near-tie":
-            assert len(exact.call_args_list) == 2
+        assert [len(z) for (z, *_), _ in exact.call_args_list] == [1] * len(exact_rows)
 
 
 @pytest.mark.parametrize("direction", ["t2v", "v2t"])
@@ -526,6 +565,29 @@ def test_paired_ranks_memory_is_o_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < q * q * 8 / 10, f"peak {peak} bytes"
+
+
+def test_exact_rows_memory_is_o_block(monkeypatch):
+    # one candidate repeated: every row's keys tie, so every row leaves the
+    # keys for the exact path, block by block
+    q = 3000
+    queries, candidates = unit_pair(7, q)
+    candidates[:] = candidates[0]
+    exact_rows = []
+
+    def counting(z, *args):         # a Mock would keep every block alive
+        exact_rows.append(len(z))
+        return _dual_softmax_rows(z, *args)
+
+    monkeypatch.setattr(retrieval, "_dual_softmax_rows", counting)
+    tracemalloc.start()
+    try:
+        paired_ranks(queries, candidates, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(exact_rows) == q
     assert peak < q * q * 8 / 10, f"peak {peak} bytes"
 
 
