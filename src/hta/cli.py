@@ -6,9 +6,11 @@ curate worker that died.
 Every run that writes an artifact also writes a reproducibility manifest
 (<out>.manifest.json) with the config hash, seed, and package version.
 
-Importing this module loads only the dispatcher (argparse, json, numpy and
-the small `config` module). Each verb imports the hta modules it runs when it
-is dispatched, so a process compiles and loads no code its verb never calls.
+Importing this module loads only the dispatcher (argparse, json, dataclasses
+and the small `config` module), and no numpy. Each verb imports the hta
+modules it runs when it is dispatched, so a process compiles and loads no code
+its verb never calls: `curate`, and an argv error the parser rejects, never
+load numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import DivergenceError, TrainConfig, read_json, read_text
@@ -103,6 +103,7 @@ def _read_texts(path, vocab: int, context: int) -> tuple[list, list]:
 
 
 def cmd_train(args) -> int:
+    import numpy as np
     from . import alignment
     from .masks import TokenLayout
     from .tensor_io import read_tensor, save_checkpoint

@@ -58,8 +58,10 @@ def masked_softmax_value(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
 
     Stabilized by subtracting the per-row max over *allowed* entries only.
     A mask that is not boolean or has a fully masked row is a contract
-    violation. Logits are not checked: non-finite ones give NaN weights, which
-    reach the caller.
+    violation. Logits are not checked: an allowed NaN or +inf, or a row whose
+    allowed logits are all -inf, makes the whole row NaN, which reaches the
+    caller. In every other row the blocked weights are exact zeros, whatever
+    their logits.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if blocked.dtype != bool:       # a 0/1 "allowed" map would be inverted
@@ -71,9 +73,15 @@ def masked_softmax_value(logits: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     full = blocked.all(axis=-1)
     if full.any():
         raise ValueError(f"fully masked row {np.flatnonzero(full)[0]}: softmax undefined")
-    z = np.where(blocked, -np.inf, logits)
-    m = z.max(axis=-1, keepdims=True)   # max over allowed entries only
-    e = np.exp(z - m)                   # exp(-inf) = 0 at forbidden positions
+    if blocked.any():
+        # max over allowed entries only; exp of the finite logits, not of
+        # -inf at the blocked ones (~4.5x slower), which are zeroed after
+        m = np.where(blocked, -np.inf, logits).max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):    # only a blocked entry can exceed m
+            e = np.exp(logits - m)
+        np.copyto(e, 0.0, where=blocked)
+    else:
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

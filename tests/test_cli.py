@@ -778,7 +778,7 @@ def test_importing_cli_loads_neither_selftest_nor_oracles():
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True).stdout.split()
     assert "hta.cli" in loaded
-    assert not {"hta.selftest", "hta.oracles", "scipy", "urllib.request",
+    assert not {"hta.selftest", "hta.oracles", "numpy", "scipy", "urllib.request",
                 "http.client"} & set(loaded)
 
 
@@ -810,19 +810,20 @@ def test_verbs_without_gelu_never_load_scipy(tmp_path):
 # The hta modules and the costly stdlib and third-party modules each verb
 # loads beyond `import hta.cli`, which loads hta, hta.cli and hta.config only.
 # No verb here loads the HTTP stack (only an external summarizer does), and
-# none loads multiprocessing: curate forks its workers itself.
-WATCHED = ("hashlib", "logging", "scipy", "urllib.request", "http.client",
+# none loads multiprocessing: curate forks its workers itself. Neither the
+# dispatcher nor curate loads numpy.
+WATCHED = ("numpy", "hashlib", "logging", "scipy", "urllib.request", "http.client",
            "multiprocessing", "concurrent.futures")
 VERB_MODULES = {
     "import": set(),
-    "mask": {"hta.masks"},
-    "eval": {"hta.retrieval", "hta.tensor_io"},
+    "mask": {"hta.masks", "numpy"},
+    "eval": {"hta.retrieval", "hta.tensor_io", "numpy"},
     "curate": {"hta.datapipe", "hashlib", "logging"},
     "train": {"hta.alignment", "hta.towers", "hta.masks", "hta.tape", "hta.tensor_io",
-              "hashlib", "logging", "scipy",        # scipy loads logging and
-              "concurrent.futures"},                # concurrent.futures
+              "numpy", "hashlib", "logging", "scipy",   # scipy loads logging and
+              "concurrent.futures"},                    # concurrent.futures
     "selftest": {"hta.selftest", "hta.oracles", "hta.masks", "hta.tape", "hta.towers",
-                 "hta.retrieval", "hashlib"},     # numpy.random loads hashlib
+                 "hta.retrieval", "numpy", "hashlib"},  # numpy.random loads hashlib
 }
 
 
@@ -855,6 +856,38 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, verb):
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [0, sorted({"hta", "hta.cli", "hta.config"}
                                          | VERB_MODULES[verb])]
+
+
+@needs_fork
+def test_curate_workers_load_no_numpy(tmp_path):
+    (tmp_path / "in").mkdir()
+    for name in ("a", "b"):
+        (tmp_path / "in" / f"{name}.jsonl").write_text(json.dumps(
+            {"video_id": name, "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    # a fresh process curates two files on two forked workers; each file's
+    # worker records its pid and whether numpy is loaded once it is done
+    code = ("import contextlib, io, json, os, sys\n"
+            "from hta import cli, config, datapipe\n"
+            "config.usable_cores = lambda: 2\n"
+            "curate_file = datapipe.curate_file\n"
+            "def recording(*args):\n"
+            "    result = curate_file(*args)\n"
+            "    with open(sys.argv[1], 'a') as log:\n"
+            "        log.write(json.dumps([os.getpid(), 'numpy' in sys.modules]) + '\\n')\n"
+            "    return result\n"
+            "datapipe.curate_file = recording\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.run(sys.argv[2:])\n"
+            "print(json.dumps([os.getpid(), code, 'numpy' in sys.modules]))\n")
+    log = tmp_path / "workers.jsonl"
+    out = subprocess.run([sys.executable, "-c", code, str(log), "curate", "--in",
+                          str(tmp_path / "in"), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True).stdout
+    parent, exit_code, parent_numpy = json.loads(out)
+    workers = [json.loads(line) for line in log.read_text().splitlines()]
+    assert (exit_code, parent_numpy) == (0, False)
+    assert len({pid for pid, _ in workers} - {parent}) == 2
+    assert not any(numpy for _, numpy in workers)
 
 
 # -- every verb on drawn argv ---------------------------------------------------

@@ -174,6 +174,22 @@ def test_masked_softmax_row_sums_and_exact_zeros():
         assert check_masked_weights([("random mask", p, mask)]) is None
 
 
+@pytest.mark.parametrize("blocked_logit", [np.inf, np.nan, 1e308])
+def test_masked_softmax_ignores_blocked_logits(blocked_logit):
+    # whatever a blocked entry holds, its weight is an exact zero, the allowed
+    # weights are bitwise those of a zero there, and no warning is raised
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(2, 4, 5)) * 10
+    mask = _mask_for(rng, (4, 5))
+    expected = masked_softmax_value(np.where(mask, 0.0, logits), mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="warn"):
+            p = masked_softmax_value(np.where(mask, blocked_logit, logits), mask)
+    assert np.array_equal(p, expected)
+    assert (p[:, mask] == 0.0).all() and np.isfinite(p).all()
+
+
 # -- layer norm -----------------------------------------------------------
 
 
