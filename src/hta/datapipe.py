@@ -309,7 +309,9 @@ def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
         raise ValueError("transcript line is nested too deeply") from exc
     if type(rec) is not dict:
         raise ValueError(f"transcript line is not an object: {line:.80}")
-    vid = rec.get("video_id", "")
+    if "video_id" not in rec:
+        raise ValueError("transcript line has no video_id")
+    vid = rec["video_id"]
     if type(vid) is not str:
         raise ValueError(f"video_id is not a string: {vid!r:.80}")
     if "sentences" in rec:

@@ -12,9 +12,10 @@ softmax ranks a row by keys 2 alpha S_ij - w_j, with w_j the log of column
 j's exp sum from a first pass over blocks of columns; only a row the keys
 cannot settle (another key too close, or a product that could be
 subnormal) is re-scored as `dual_softmax` does, by the same
-`_dual_softmax_rows`. Its blocks follow the core count, so its ranks
-do not depend on the number of threads or the BLAS thread variables. Both
-paths share the tie rule. A block's scores can differ from the full
+`_dual_softmax_rows`, and every row is where the input has no keys. Its
+blocks follow the core count, so its ranks do not depend on the number of
+threads or the BLAS thread variables. `_rank_rows` holds the tie rule for
+every path. A block's scores can differ from the full
 product's in the last ulp where BLAS splits the product differently, and
 blocks shrink as cores are added, so near-ties may rank differently from the
 reference.
@@ -67,7 +68,8 @@ def _dual_softmax_rows(z: np.ndarray, colmax: np.ndarray,
     """Rows z of alpha*S, re-scored in place: row-softmax(z) times the
     column softmax, given the column max of alpha*S and the column sums of
     exp(alpha*S - colmax)."""
-    col = np.exp(z - colmax)
+    col = z - colmax
+    np.exp(col, out=col)
     col /= colsum
     z -= z.max(axis=1, keepdims=True)
     row = np.exp(z, out=z)
@@ -93,20 +95,19 @@ def _check_finite(s: np.ndarray) -> None:
         raise ValueError("similarity matrix contains non-finite entries")
 
 
-def _rank_rows(s: np.ndarray, start: int) -> np.ndarray:
-    """Pessimistic ranks of rows `start`.. of a score matrix, given as the
-    block s whose row i has its ground truth in column start + i: every score
-    >= the ground truth counts, the ground truth itself included."""
+def _rank_rows(s: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Pessimistic ranks of the rows of a score block s whose row i has its
+    ground truth in column truth[i]: every score >= the ground truth counts,
+    the ground truth itself included."""
     _check_finite(s)
-    i = np.arange(len(s))
-    return np.count_nonzero(s >= s[i, start + i][:, None], axis=1)
+    return np.count_nonzero(s >= s[np.arange(len(s)), truth][:, None], axis=1)
 
 
 def ranks(s: np.ndarray) -> np.ndarray:
     """Pessimistic rank of the diagonal entry within each row."""
     s = np.asarray(s, dtype=np.float64)
     _check_square(s.shape, "paired evaluation")
-    return _rank_rows(s, 0)
+    return _rank_rows(s, np.arange(len(s)))
 
 
 def _row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
@@ -200,14 +201,16 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     below). A row whose ground-truth product could be subnormal, or where
     another key lies within the margin, takes the exact path: its block's
     own scores re-scored over the whole row by _dual_softmax_rows, with the
-    column max and sums of every column block, computed once when the first
-    row needs them. A column block is alpha times the transpose of
+    column max and sums of every column block. The first row block that
+    needs them takes one lock and runs the column blocks on all the threads
+    through _map_blocks; any other that needs them meanwhile waits on that
+    lock. A column block is alpha times the transpose of
     similarity(candidates[a:b], queries), copied in C order so that the
-    axis-0 reductions add the rows in index order as dual_softmax does.
-    Every row takes the exact path, after one pass over every column block
-    and with no key pass, when the keys could overflow, a score is not
-    finite, or a bound from the diagonal alone says that most ground-truth
-    products could be subnormal.
+    axis-0 reductions add the rows in index order as dual_softmax does. An
+    input has no keys, and every row takes the exact path with no key pass,
+    when the keys could overflow, a score is not finite, or a bound from the
+    diagonal alone says that most ground-truth products could be subnormal.
+    An alpha*S that overflows raises ValueError naming alpha.
 
     Every block writes only its own slice of w, the column statistics or the
     ranks, and the block height follows usable_cores(), not the thread
@@ -229,7 +232,7 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
     r = np.empty(n, dtype=np.int64)
     if alpha is None:
         def plain(a, b):
-            r[a:b] = _rank_rows(similarity(q[a:b], c), a)
+            r[a:b] = _rank_rows(similarity(q[a:b], c), np.arange(a, b))
 
         _map_blocks(blocks, workers, plain)
         return r
@@ -238,8 +241,12 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
 
     def columns(a, b):
         # rows a:b of S^T: BLAS rounds them as it rounds a row block
-        z = np.multiply(similarity(c[a:b], q).T, alpha, order="C")
-        _check_finite(z)          # also catches an alpha*S that overflows
+        with np.errstate(over="ignore"):          # an overflow is named below
+            z = np.multiply(similarity(c[a:b], q).T, alpha, order="C")
+        if not np.isfinite(z).all():
+            _check_finite(similarity(c[a:b], q))  # S itself, else alpha*S overflowed
+            raise ValueError(f"alpha = {alpha:g} overflows the dual softmax: "
+                             "alpha * similarity has non-finite entries")
         z.max(axis=0, out=colmax[a:b])
         z -= colmax[a:b]
         np.exp(z, out=z).sum(axis=0, out=colsum[a:b])
@@ -285,50 +292,40 @@ def paired_ranks(queries: np.ndarray, candidates: np.ndarray,
         z -= top
         half_w[a:b] = (top[:, 0] + np.log(np.exp(z, out=z).sum(axis=1))) / 2
 
-    _map_blocks(blocks, workers, keys if keyed else columns)
-    locks = [threading.Lock() for _ in blocks]
-    done = [False] * len(blocks)
-    ready = threading.Event()
+    if keyed:
+        _map_blocks(blocks, workers, keys)
+    lock, ready = threading.Lock(), False
 
     def exact_columns():
-        # every column block once: first those no other thread is computing,
-        # then wait for the rest
-        if ready.is_set():
-            return
-        for wait in (False, True):
-            for k, lock in enumerate(locks):
-                if not done[k] and lock.acquire(wait):
-                    try:
-                        if not done[k]:
-                            columns(*blocks[k])
-                            done[k] = True
-                    finally:
-                        lock.release()
-        ready.set()
+        # the first row block to need the column statistics computes them on
+        # every worker; any other that needs them meanwhile waits here, and
+        # runs the pass again if it raised (the call raises the first error)
+        nonlocal ready
+        with lock:
+            if not ready:
+                _map_blocks(blocks, workers, columns)
+                ready = True
 
     def rows(a, b):
         z = similarity(q[a:b], c)
-        z *= alpha
-        if not keyed:
-            r[a:b] = _rank_rows(_dual_softmax_rows(z, colmax, colsum), a)
-            return
-        above, near = _rank_keys(z, a, half_w, margin)
-        r[a:b] = above + 1
-        i = np.arange(b - a)
-        d = z[i, a + i] - half_w[a:b]
-        # log p_ii >= 2 d - m_i - log Q to within the margin, and m_i <= big
-        low = 2 * d - big < floor
-        if low.any():
-            low = 2 * d - z.max(axis=1) < floor     # p_ii could be subnormal
-        # the exact path re-scores the block's own rows (a one-row product
-        # would round otherwise): those with other keys within the margin,
-        # and those whose products could be subnormal
-        k = np.flatnonzero((near > 1) | low)
+        with np.errstate(over="ignore"):  # only without keys; columns() names it
+            z *= alpha
+        k = np.arange(b - a)                # without keys, every row is exact
+        if keyed:
+            above, near = _rank_keys(z, a, half_w, margin)
+            r[a:b] = above + 1
+            d = z[k, a + k] - half_w[a:b]
+            # log p_ii >= 2 d - m_i - log Q to within the margin, and m_i <= big
+            low = 2 * d - big < floor
+            if low.any():
+                low = 2 * d - z.max(axis=1) < floor     # p_ii could be subnormal
+            # the exact path re-scores the block's own rows (a one-row product
+            # would round otherwise): those with other keys within the margin,
+            # and those whose products could be subnormal
+            k = np.flatnonzero((near > 1) | low)
         if len(k):
             exact_columns()
-            p = _dual_softmax_rows(z[k], colmax, colsum)
-            r[a + k] = np.count_nonzero(p >= p[np.arange(len(k)), a + k][:, None],
-                                        axis=1)
+            r[a + k] = _rank_rows(_dual_softmax_rows(z[k], colmax, colsum), a + k)
 
     _map_blocks(blocks, workers, rows)
     return r

@@ -337,7 +337,8 @@ def exit_in_worker(*args):
 
 BAD_LINES = ('{"video_id": "bad", "words": 5}', '{"video_id": "bad", "words": [',
              '{"video_id": "bad", "sentences": [{"text": "a.", "t0": 1, "t1": 1}]}',
-             '{"video_id": "bad", "sentences": [{"text": "a.", "t0": 0, "t1": 1e6}]}')
+             '{"video_id": "bad", "sentences": [{"text": "a.", "t0": 0, "t1": 1e6}]}',
+             '{"sentences": [{"text": "a.", "t0": 0, "t1": 1}]}')
 
 
 @st.composite
@@ -720,6 +721,23 @@ def test_eval_errors_exit_1(tmp_path, capsys):
         assert run_eval("t.hta", "--dsl", "--alpha", alpha) == 1
         err = capsys.readouterr().err
         assert err == f"error: alpha must be finite and positive, got {alpha}\n"
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["plain", "-W error"])
+def test_eval_dsl_overflow_is_one_line_naming_alpha(tmp_path, warnings):
+    # finite embeddings whose scores exceed 1.8: only alpha * S overflows. The
+    # column statistics run on worker threads, whose numpy error state is
+    # their own, so a fresh process sees what `hta eval` prints.
+    rng = np.random.default_rng(0)
+    for name in ("v", "t"):
+        write_tensor(tmp_path / f"{name}.hta", rng.normal(size=(50, 8)))
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "hta.cli", "eval", "--video-emb",
+         str(tmp_path / "v.hta"), "--text-emb", str(tmp_path / "t.hta"),
+         "--dsl", "--alpha", "1e308"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: alpha = 1e+308 overflows the dual softmax: "
+                           "alpha * similarity has non-finite entries\n")
 
 
 @pytest.mark.parametrize("video, text", [((5, 5), (6, 5)), ((5, 5), (5,)),

@@ -286,6 +286,7 @@ MALFORMED_LINES = {
     "bool t0": '{"video_id": "a", "words": [{"w": "Hi.", "t0": true, "t1": 1.0}]}',
     "object sentences": '{"video_id": "a", "sentences": {"text": "Hi."}}',
     "int video_id": '{"video_id": 7, "sentences": []}',
+    "no video_id": '{"sentences": [{"text": "Hi.", "t0": 0.0, "t1": 1.0}]}',
     "truncated": '{"video_id": "a", "words": [{"w": "Hi.", "t0": 0.0, "t1": 1.0}',
     "deep": "[" * 100_000 + "]" * 100_000,
     "decreasing t0": '{"video_id": "a", "sentences": [{"text": "b.", "t0": 100, "t1": 110}, '
@@ -300,11 +301,12 @@ MALFORMED_LINES = {
 def test_malformed_transcript_line_raises_value_error(tmp_path, capsys, line):
     with pytest.raises(ValueError):
         read_transcript_line(line)
-    (tmp_path / "in").mkdir()
-    (tmp_path / "in" / "t.jsonl").write_text(line + "\n")
-    assert run(["curate", "--in", str(tmp_path / "in"),
+    src = tmp_path / "in" / "t.jsonl"
+    src.parent.mkdir()
+    src.write_text(line + "\n")
+    assert run(["curate", "--in", str(src.parent),
                 "--out", str(tmp_path / "out")]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {src} line 1: ")
 
 
 @pytest.mark.parametrize("form, items, err", [

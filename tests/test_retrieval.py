@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -137,28 +138,34 @@ def unit_pair(seed: int, q: int):
     return tuple(x / np.linalg.norm(x, axis=1, keepdims=True) for x in (t, v))
 
 
-def recording(real, blocks):
+def recording(real, calls):
     """A stand-in for the function that scores a block, real: _rank_rows
-    ranks the blocks of S or of its dual softmax, _rank_keys compares the
-    blocks of alpha*S by their keys. It records (start, block) in `blocks`."""
-    def record(z, start, *args):
-        blocks.append((start, z.copy()))
-        return real(z, start, *args)
+    ranks rows of S or of its dual softmax given their ground-truth columns,
+    _rank_keys compares the blocks of alpha*S by their keys from a start
+    row. It records (those columns or that start, block) in `calls`."""
+    def record(z, at, *args):
+        calls.append((at, z.copy()))
+        return real(z, at, *args)
     return record
 
 
-def scored_blocks(*args):
-    """paired_ranks(*args) and the blocks it scored, sorted by start: the
-    blocks _rank_keys compares when the keys rank, else those _rank_rows
-    ranks. Only one of the two scores blocks in a call."""
+def scored_blocks(queries, candidates, alpha):
+    """paired_ranks(queries, candidates, alpha) and the blocks it scored,
+    as (start, block) sorted by start: the blocks _rank_keys compares when
+    the keys rank, else those _rank_rows ranks. When the keys rank, each
+    call of _rank_rows ranks exact rows, which must be bitwise those of
+    dual_softmax that it ranks."""
     by_rows, by_keys = [], []
     with mock.patch.object(retrieval, "_rank_rows",
                            side_effect=recording(_rank_rows, by_rows)), \
             mock.patch.object(retrieval, "_rank_keys",
                               side_effect=recording(_rank_keys, by_keys)):
-        got = paired_ranks(*args)
-    assert not (by_rows and by_keys)
-    return got, sorted(by_rows or by_keys, key=lambda blk: blk[0]), bool(by_keys)
+        got = paired_ranks(queries, candidates, alpha)
+    if by_keys:
+        p = dual_softmax(similarity(queries, candidates), alpha)
+        assert all(np.array_equal(rows, p[truth]) for truth, rows in by_rows)
+    blocks = by_keys or [(int(truth[0]), z) for truth, z in by_rows]
+    return got, sorted(blocks, key=lambda blk: blk[0]), bool(by_keys)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,9 +299,10 @@ def test_map_blocks_runs_every_block_once():
 
 def test_exact_column_blocks_run_once_under_contention():
     """More threads than cores, a short switch interval and slow products:
-    every candidate has a twin, so rows on every thread need every exact
-    column block at once; each block runs once, no row is re-scored before
-    they all have, and the ranks are those of one thread."""
+    every candidate has a twin, so row blocks on every thread need the
+    column statistics at once. The first runs the column blocks on every
+    thread while the others wait on the lock; each block runs once, and the
+    ranks are those of one thread."""
     queries, candidates = unit_pair(4, 60)
     candidates[1::2] = candidates[::2]
 
@@ -460,10 +468,10 @@ def test_benchmark_input_takes_no_exact_row(direction):
     assert not exact.call_args_list
 
 
-@pytest.mark.parametrize("fail_at", ["scores", "unordered"])
+@pytest.mark.parametrize("fail_at", ["scores", "unordered", "columns"])
 def test_no_thread_outlives_a_call(fail_at):
     """A call that raises in any pass, in any thread, still joins every
-    thread."""
+    thread, those of the column pass that a row block starts included."""
     queries, candidates = grid_pair(1, 60, 0)
     before = threading.active_count()
     calls = 0
@@ -474,6 +482,16 @@ def test_no_thread_outlives_a_call(fail_at):
         if a == 20:
             raise RuntimeError("boom")
 
+    products = itertools.count(1)      # next() on it is atomic across threads
+
+    def column_fails(x, y):
+        # the key pass makes one product per row block with the queries on
+        # the right; the next such product is the column pass's first block
+        if y is queries and next(products) == len(_row_blocks(60, 2)) + 1:
+            time.sleep(0.05)            # the other row blocks reach the lock
+            raise RuntimeError("column block")
+        return similarity(x, y)
+
     with mock.patch.object(retrieval, "BLOCK_ELEMS", 2 * 60), \
             mock.patch.object(retrieval, "_workers", lambda: 4):
         assert run_bounded(paired_ranks, queries, candidates, 10.0) is None
@@ -482,10 +500,15 @@ def test_no_thread_outlives_a_call(fail_at):
             bad[57, 0] = np.nan
             exc = run_bounded(paired_ranks, bad, candidates, 10.0)
             assert isinstance(exc, ValueError) and "non-finite" in str(exc)
-        else:                           # a block's own work raises
+        elif fail_at == "unordered":    # a block's own work raises
             exc = run_bounded(_map_blocks, _row_blocks(60, 2), 4, work)
             assert isinstance(exc, RuntimeError)
             assert calls < 30               # the first error stops the rest
+        else:                           # a column block raises while row blocks wait
+            candidates[1::2] = candidates[::2]      # a twin in every row block
+            with mock.patch.object(retrieval, "similarity", side_effect=column_fails):
+                exc = run_bounded(paired_ranks, queries, candidates, 10.0)
+            assert isinstance(exc, RuntimeError) and str(exc) == "column block"
     assert threading.active_count() == before
 
 
