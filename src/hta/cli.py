@@ -195,9 +195,18 @@ def _map_files(fn, paths: list, workers: int) -> list:
     Plain fork and one pipe per worker, not a multiprocessing pool: a pool
     unpickles each result on a helper thread, and that thread's malloc arena
     kept up to 25 MB of freed results resident (the peak RSS of perfbench's
-    encode_eval_curate read 166-188 MB in four runs, against 159-162 MB)."""
+    encode_eval_curate read 166-188 MB in four runs, against 159-162 MB).
+
+    A worker first freezes the heap it inherits: gc.freeze() puts the
+    parent's objects out of its collector's reach, so its full collections
+    neither walk nor copy them (in a fork of perfbench's process the first
+    took 23-25 ms, and 1 ms frozen). The parent does not freeze: frozen for
+    the whole call, it skipped its own full collections, its cyclic garbage
+    piled up, and the peak RSS of perfbench's encode_eval_curate rose from
+    150.1 to 155.8 MB (medians of ten runs)."""
     if workers < 2 or not hasattr(os, "fork"):
         return list(map(fn, paths))
+    import gc
     import pickle
     pids, pipes, done = [], [], {}
     try:
@@ -208,6 +217,7 @@ def _map_files(fn, paths: list, workers: int) -> list:
                 pid = os.fork()
                 if pid == 0:            # the worker; it never returns
                     try:
+                        gc.freeze()
                         sent = {}
                         for i in range(k, len(paths), workers):
                             try:

@@ -14,6 +14,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _string
 
 from .config import read_text
 
@@ -274,14 +276,21 @@ MEANS = ("mean_duration", "mean_sentences", "mean_subtitle_words",
          "mean_summarized_caption_words")
 
 
-def clip_counts(clip: ClipRecord) -> tuple:
+def clip_counts(clip: ClipRecord, words: list[int]) -> tuple:
     """The numbers `stats` takes from a clip: its scale, then one per MEANS
     entry (duration, sentence count, and the word counts of the subtitle
-    and caption before and after summarization)."""
+    and caption before and after summarization). words[i] is the word count
+    of the clip's video's first i sentences, so the subtitle, which joins
+    whole sentences with spaces, is never split; a summary equal to its
+    source takes the source's count."""
     a, b = clip.sentence_range
-    return (clip.scale, clip.duration, b - a + 1, len(clip.subtitle.split()),
-            len(clip.summarized_subtitle.split()), len(clip.caption.split()),
-            len(clip.summarized_caption.split()))
+    subtitle = words[b + 1] - words[a]
+    caption = len(clip.caption.split())
+    return (clip.scale, clip.duration, b - a + 1, subtitle,
+            subtitle if clip.summarized_subtitle == clip.subtitle
+            else len(clip.summarized_subtitle.split()), caption,
+            caption if clip.summarized_caption == clip.caption
+            else len(clip.summarized_caption.split()))
 
 
 def stats(counts: list[tuple]) -> dict[str, dict[str, float]]:
@@ -291,11 +300,12 @@ def stats(counts: list[tuple]) -> dict[str, dict[str, float]]:
         raise ValueError("no clips")
     table = {}
     for name in SCALE_NAMES:
-        group = [row[1:] for row in counts if row[0] == name]
+        group = [row for row in counts if row[0] == name]
         if group:
             n = len(group)
+            _, *columns = zip(*group)   # slicing off each row's scale made 22k tuples
             table[name] = {"count": n, **{key: sum(column) / n for key, column
-                                          in zip(MEANS, zip(*group))}}
+                                          in zip(MEANS, columns)}}
     return table
 
 
@@ -324,17 +334,29 @@ def read_transcript_line(line: str) -> tuple[str, list[TranscriptSentence]]:
 
 
 def clip_to_json(clip: ClipRecord) -> str:
-    return json.dumps(vars(clip))
+    """json.dumps(vars(clip)), byte for byte, from one template of
+    ClipRecord's fields in order, with json's separators: strings go through
+    the ASCII string encoder json uses under its default ensure_ascii=True,
+    and numbers through repr, which is how json spells an int and a finite
+    float (the reader bounds every time)."""
+    a, b = clip.sentence_range
+    return (f'{{"video_id": {_string(clip.video_id)}, '
+            f'"sentence_range": [{a!r}, {b!r}], "start": {clip.start!r}, '
+            f'"end": {clip.end!r}, "scale": {_string(clip.scale)}, '
+            f'"subtitle": {_string(clip.subtitle)}, "caption": {_string(clip.caption)}, '
+            f'"summarized_subtitle": {_string(clip.summarized_subtitle)}, '
+            f'"summarized_caption": {_string(clip.summarized_caption)}}}')
 
 
 def curate_file(path, scales: tuple[float, ...], spec: SummarizerSpec,
                 caption_fps: float | None = None) -> tuple[str, list[tuple]]:
     """Curate one transcript file: each line's clips at these scales, with
     placeholder captions (the frame schedule) when caption_fps is given,
-    then summarized. Returns the file's JSONL text and clip_counts of each
-    clip, in order. A contract error raises ValueError naming the file and
-    the line."""
-    records = []
+    then summarized. Returns the file's JSONL text, one line per clip and
+    empty without clips, and clip_counts of each clip, in order. Each
+    sentence is split into words once. A contract error raises ValueError
+    naming the file and the line."""
+    jsonl, counts = [], []
     for n, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
@@ -343,11 +365,12 @@ def curate_file(path, scales: tuple[float, ...], spec: SummarizerSpec,
             clips = extract_clips(vid, sentences, scales)
             if caption_fps is not None:
                 for clip in clips:
-                    clip.caption = " ".join(f"frame at {tstamp:.1f}s" for tstamp
-                                            in caption_frames(clip, caption_fps))
+                    clip.caption = " ".join([f"frame at {tstamp:.1f}s" for tstamp
+                                             in caption_frames(clip, caption_fps)])
         except ValueError as exc:
             raise ValueError(f"{path} line {n}: {exc}") from exc
         summarize_clips(clips, spec)
-        records.extend(clips)
-    return ("\n".join(map(clip_to_json, records)) + "\n",
-            [clip_counts(clip) for clip in records])
+        words = [0, *accumulate(len(s.text.split()) for s in sentences)]
+        jsonl.extend(map(clip_to_json, clips))
+        counts.extend(clip_counts(clip, words) for clip in clips)
+    return "\n".join([*jsonl, ""]), counts

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import shlex
@@ -305,6 +307,7 @@ needs_fork = pytest.mark.skipif(
     reason="curate workers need fork, and the child check reads /proc")
 TEST_PID = os.getpid()
 SUMMARIZE_CLIPS = datapipe.summarize_clips
+CURATE_FILE = datapipe.curate_file
 
 
 def children() -> list[int]:
@@ -417,6 +420,106 @@ def test_curate_fails_promptly_when_a_worker_dies(tmp_path, monkeypatch, capsys)
         f"i/o error: a curate worker ended before it curated {src / 'a.jsonl'}\n")
     assert not (tmp_path / "out").exists()
     assert children() == []
+
+
+def record_freeze_count(path, *args):
+    """datapipe.curate_file, after noting the caller's pid and gc freeze
+    count in freezes.jsonl beside the input file."""
+    with open(Path(path).parent.parent / "freezes.jsonl", "a") as log:
+        log.write(json.dumps([os.getpid(), gc.get_freeze_count()]) + "\n")
+    return CURATE_FILE(path, *args)
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", ["none", "malformed", "worker dies"])
+def test_curate_freezes_the_workers_heaps_not_the_parents(tmp_path, monkeypatch,
+                                                          capsys, fault):
+    # a frozen parent skips its own full collections, so its freeze count
+    # must read 0 after every call, whatever the call ends in
+    src = tmp_path / "in"
+    src.mkdir()
+    for name in ("a", "b"):
+        (src / f"{name}.jsonl").write_text(json.dumps(
+            {"video_id": name, "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}))
+    if fault == "malformed":
+        (src / "b.jsonl").write_text(BAD_LINES[0])
+    per_file = exit_in_worker if fault == "worker dies" else record_freeze_count
+    monkeypatch.setattr(datapipe, "curate_file", per_file)
+    monkeypatch.setattr(config, "usable_cores", lambda: 2)
+    assert gc.get_freeze_count() == 0
+    code = run(["curate", "--in", str(src), "--out", str(tmp_path / "out")])
+    assert code == {"none": 0, "malformed": 1, "worker dies": 2}[fault]
+    assert gc.get_freeze_count() == 0
+    assert children() == []
+    if fault != "worker dies":          # each file ran on a frozen worker
+        workers = [json.loads(line) for line in
+                   (tmp_path / "freezes.jsonl").read_text().splitlines()]
+        assert len({pid for pid, _ in workers} - {TEST_PID}) == 2
+        assert all(frozen > 0 for _, frozen in workers)
+
+
+def test_curate_writes_an_empty_file_for_a_file_without_clips(tmp_path, capsys):
+    # a file with no transcript lines was written as "\n", which no JSON
+    # reader accepts as a line
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    (src / "a.jsonl").write_text(json.dumps(
+        {"video_id": "a", "sentences": [{"text": "a.", "t0": 0.0, "t1": 5.0}]}) + "\n")
+    (src / "empty.jsonl").write_text("")
+    (src / "blank.jsonl").write_text("\n\n")
+    assert run(["curate", "--in", str(src), "--out", str(out)]) == 0
+    assert (out / "empty.jsonl").read_bytes() == (out / "blank.jsonl").read_bytes() == b""
+    assert [json.loads(line)["video_id"] for line in
+            (out / "a.jsonl").read_text().splitlines()] == ["a"] * 3
+
+
+# Texts that exercise the writer and the word counts: quotes, backslashes,
+# control and non-ASCII characters, a non-BMP character, empty strings and
+# whitespace that str.split splits on.
+GOLDEN_TEXTS = ("the", 'say "hi"', "back\\slash", "tab\there", "Caf\u00e9",
+                "\u3000", "", "emoji \U0001F600", "new\nline", "end.", "why?",
+                "x\x1cy", "  two  spaces ", "wow!", "nel\x85")
+GOLDEN_SHA256 = {
+    "f0.jsonl": "80df1ada7b6c411feccba5787294908eefaafb89061a3e107435fc6a6ebdfd48",
+    "f1.jsonl": "4d38ee1fc0ca382172bdb5e434c87b153a7346ba3c2e45d413cdb2a5554959b0",
+    "stats.json": "11a57b9c9b76a806afe53773be0505f81013237d479a5e1da560dc249baead9c",
+}
+
+
+def golden_corpus(src):
+    """2 files of 5 videos, both transcript forms, int and float times."""
+    for f in range(2):
+        lines = []
+        for v in range(5):
+            form, key = (("words", "w") if (f + v) % 2 == 0 else ("sentences", "text"))
+            t, items = (v if v % 2 else 0.5 * v), []
+            for i in range(30 + 9 * v):
+                text = GOLDEN_TEXTS[(7 * i + 3 * v + f) % len(GOLDEN_TEXTS)]
+                if key == "text" and i % 4 == 3:
+                    text += "."
+                dur = 1 + i % 3 if i % 5 == 0 else 0.25 * (1 + (3 * i + v) % 11)
+                items.append({key: text, "t0": t, "t1": t + dur})
+                t += dur + (0.5 if i % 7 == 0 else 0)
+            lines.append(json.dumps({"video_id": f"f{f}v{v}", form: items}))
+        if f == 1:
+            lines.insert(2, "")
+        (src / f"f{f}.jsonl").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_curate_golden_bytes(tmp_path, monkeypatch, capsys, cores):
+    # the digests were recorded before the writer and the word counts were
+    # rewritten; any change that moves a byte of the output fails here
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    golden_corpus(src)
+    monkeypatch.setattr(config, "usable_cores", lambda: cores)
+    assert run(["curate", "--in", str(src), "--out", str(out),
+                "--placeholder-captions", "--scales", "7,20,45"]) == 0
+    assert capsys.readouterr().out == (out / "stats.json").read_text() + "\n"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
 
 
 def test_train_smoke_and_config_precedence(tmp_path, capsys):

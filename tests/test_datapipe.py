@@ -13,7 +13,7 @@ from hta.cli import run
 from hta.datapipe import (MAX_CAPTION_FRAMES, SUMMARIZE_PROMPT, WORD_CAP,
                           ClipRecord, SummarizerSpec, TranscriptSentence,
                           TransportError, _http_post, caption_frames,
-                          clip_counts, clip_to_json, extract_clips,
+                          clip_counts, clip_to_json, curate_file, extract_clips,
                           read_transcript_line, segment, stats, summarize,
                           summarize_clips)
 
@@ -244,11 +244,12 @@ def test_summarize_clips_short_scale_bypass():
 
 
 def test_stats_fixture():
+    # the video's sentences are "one", "two", "three" and "four"
     clips = [ClipRecord("v", (0, 1), 0, 12, "short", "one two", caption="c"),
              ClipRecord("v", (2, 2), 12, 26, "short", "three", caption="c d"),
-             ClipRecord("v", (0, 3), 0, 30, "medium", "a b c d")]
+             ClipRecord("v", (0, 3), 0, 30, "medium", "one two three four")]
     summarize_clips(clips, SummarizerSpec())
-    table = stats([clip_counts(c) for c in clips])
+    table = stats([clip_counts(c, [0, 1, 2, 3, 4]) for c in clips])
     assert set(table) == {"short", "medium"}
     s = table["short"]
     assert s["count"] == 2
@@ -375,6 +376,58 @@ def test_clip_json_roundtrip():
     assert d["video_id"] == "v"
     assert d["sentence_range"] == [1, 3]
     assert d["scale"] == "short"
+
+
+# Any string, lone surrogates included, and the characters json escapes.
+ANY_TEXT = st.text(st.characters(exclude_categories=())
+                   | st.sampled_from('"\\/\x00\x1f\x7f\x85\u2028\ud800\udfff\U0001F600'))
+TIMES = (st.integers(-10**12, 10**12) | st.floats(allow_nan=False, allow_infinity=False)
+         | st.sampled_from([-0.0, 5e-324, -5e-324, 1e12, -1e12]))
+INDICES = st.integers(0, 2**63)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(ClipRecord, ANY_TEXT, st.tuples(INDICES, INDICES), TIMES, TIMES,
+                 ANY_TEXT, ANY_TEXT, ANY_TEXT, ANY_TEXT, ANY_TEXT))
+def test_clip_to_json_writes_what_json_dumps_writes(clip):
+    assert clip_to_json(clip) == json.dumps(vars(clip))
+
+
+# Words and texts with empty strings, runs of whitespace and the non-ASCII
+# whitespace str.split splits on.
+SPLIT_TEXT = st.lists(st.sampled_from(["ab", "c.", "?", " ", "\t", "\n", "\u3000",
+                                       "\x1c", "\x85", "\xa0", "\u2028"]),
+                      max_size=6).map("".join)
+
+
+@st.composite
+def transcript_lines(draw):
+    """1 to 3 transcript lines, each in either form."""
+    lines = []
+    for v in range(draw(st.integers(1, 3))):
+        form, key = draw(st.sampled_from([("words", "w"), ("sentences", "text")]))
+        t, items = 0.0, []
+        for _ in range(draw(st.integers(1, 30))):
+            d = draw(st.sampled_from([0.5, 1.0, 4.0]))
+            items.append({key: draw(SPLIT_TEXT), "t0": t, "t1": t + d})
+            t += d
+        lines.append(json.dumps({"video_id": f"v{v}", form: items}))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(transcript_lines())
+def test_stats_rows_count_what_a_split_counts(tmp_path_factory, lines):
+    # each row holds what splitting the written clip's strings counts
+    path = tmp_path_factory.mktemp("counts") / "t.jsonl"
+    path.write_text("\n".join(lines))
+    text, rows = curate_file(path, (2.0, 5.0, 12.0), SummarizerSpec(), 0.5)
+    clips = [json.loads(line) for line in text.splitlines()]
+    assert rows == [(c["scale"], c["end"] - c["start"],
+                     c["sentence_range"][1] - c["sentence_range"][0] + 1,
+                     len(c["subtitle"].split()), len(c["summarized_subtitle"].split()),
+                     len(c["caption"].split()), len(c["summarized_caption"].split()))
+                    for c in clips]
 
 
 # -- HTTP transport against a local server -------------------------------------
