@@ -357,7 +357,8 @@ def curate_file(path, scales: tuple[float, ...], spec: SummarizerSpec,
     sentence is split into words once. A contract error raises ValueError
     naming the file and the line."""
     jsonl, counts = [], []
-    for n, line in enumerate(read_text(path).splitlines(), 1):
+    # "\n" only: JSON strings may hold the other breaks splitlines() cuts at
+    for n, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         try:

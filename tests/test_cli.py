@@ -522,6 +522,29 @@ def test_curate_golden_bytes(tmp_path, monkeypatch, capsys, cores):
     assert got == GOLDEN_SHA256
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_curate_cuts_files_at_newlines_only(tmp_path, monkeypatch, capsys, cores):
+    # a JSON string may hold a raw U+0085 or U+2028, at which splitlines()
+    # cut a valid line in two; a later error still names its physical line
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    lines = [json.dumps({"video_id": f"v{i}", "sentences": [
+        {"text": f"a{c}b.", "t0": 0.0, "t1": 5.0}]}, ensure_ascii=False)
+        for i, c in enumerate("\x85\u2028")]
+    for name in ("a", "b"):
+        (src / f"{name}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(config, "usable_cores", lambda: cores)
+    assert run(["curate", "--in", str(src), "--out", str(out)]) == 0
+    for name in ("a", "b"):
+        clips = [json.loads(line) for line in
+                 (out / f"{name}.jsonl").read_text(encoding="utf-8").split("\n") if line]
+        assert [(c["video_id"], c["subtitle"]) for c in clips] == (
+            [("v0", "a\x85b.")] * 3 + [("v1", "a\u2028b.")] * 3)
+    (src / "b.jsonl").write_text("\n".join([lines[1], "{"]), encoding="utf-8")
+    assert run(["curate", "--in", str(src), "--out", str(tmp_path / "out2")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {src / 'b.jsonl'} line 2: ")
+
+
 def test_train_smoke_and_config_precedence(tmp_path, capsys):
     rng = np.random.default_rng(3)
     b = 4
@@ -941,8 +964,7 @@ VERB_MODULES = {
     "eval": {"hta.retrieval", "hta.tensor_io", "numpy"},
     "curate": {"hta.datapipe", "hashlib", "logging"},
     "train": {"hta.alignment", "hta.towers", "hta.masks", "hta.tape", "hta.tensor_io",
-              "numpy", "hashlib", "logging", "scipy",   # scipy loads logging and
-              "concurrent.futures"},                    # concurrent.futures
+              "numpy", "hashlib"},      # gelu needs scipy only for |x| > sqrt 2
     "selftest": {"hta.selftest", "hta.oracles", "hta.masks", "hta.tape", "hta.towers",
                  "hta.retrieval", "numpy", "hashlib"},  # numpy.random loads hashlib
 }

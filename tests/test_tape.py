@@ -1,16 +1,21 @@
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
 from hta.alignment import AlignmentBatch, total_loss_node
 from hta.masks import TokenLayout
 from hta.selftest import check_masked_weights
-from hta.tape import Tape, layer_norm_value, masked_softmax_value
+from hta.tape import (GELU_BLOCK, LN_EPS, Tape, gelu_value, layer_norm_value,
+                      masked_softmax_value)
 from hta.towers import (TextTowerConfig, VideoTowerConfig, init_text_params,
                         init_video_params, register_params)
 
@@ -218,6 +223,23 @@ def test_layer_norm_leading_axes_are_bitwise_flat_rows():
                                        probe.reshape(10, 6)))
 
 
+@pytest.mark.parametrize("shape", [(32, 19, 64), (4, 260, 64), "transposed"])
+def test_layer_norm_value_is_the_two_pass_expression_bitwise(shape):
+    # x - mu is computed once and scaled in place; the arrays must be those
+    # of the expression that computed it twice, on the benchmark's S = 19
+    # layout, the long one (S = 260) and a non-contiguous input
+    rng = np.random.default_rng(5)
+    x = (rng.normal(size=(64, 19, 8)).transpose(2, 1, 0) if shape == "transposed"
+         else rng.normal(size=shape))
+    gain, bias = rng.normal(size=64), rng.normal(size=64)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv
+    for got, want in zip(layer_norm_value(x, gain, bias), (xhat * gain + bias, xhat, inv)):
+        assert np.array_equal(got, want)
+
+
 def test_layer_norm_zero_gain_gives_bias():
     rng = np.random.default_rng(3)
     bias = rng.normal(size=5)
@@ -268,6 +290,111 @@ def test_gelu_is_scipy_erf_gelu_bitwise():
         assert t.value(out).tobytes() == (x * phi).tobytes()
         if tracked:
             assert grads[leaf].tobytes() == deriv.tobytes()
+
+
+def gelu_formula(x, tracked):
+    """Tape.gelu's arrays as whole-array numpy ops with scipy's erf."""
+    from scipy.special import erf
+    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    if not tracked:
+        return x * phi, None
+    with np.errstate(over="ignore"):
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    deriv = phi + x * pdf
+    return x * phi, deriv
+
+
+def first_warning(fn, *args):
+    """The text of the first warning fn raises, or None."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(*args)
+    except RuntimeWarning as w:
+        return str(w)
+    return None
+
+
+SQRT2 = math.sqrt(2.0)
+GELU_ELEMENTS = {       # classes of input, each as a function of an rng and a count
+    "boundary": lambda r, n: r.choice([np.nextafter(SQRT2, v) for v in (0.0, np.inf)]
+                                      + [SQRT2, 1.0], n) * r.choice([-1.0, 1.0], n),
+    "tail": lambda r, n: (10.0 ** r.uniform(math.log10(SQRT2), 2.0, n)
+                          * r.choice([-1.0, 1.0], n)),
+    "huge": lambda r, n: 10.0 ** r.uniform(0.0, 300.0, n) * r.choice([-1.0, 1.0], n),
+    "zero": lambda r, n: r.choice([0.0, -0.0], n),
+    "subnormal": lambda r, n: r.choice([5e-324, 1e-310, 2.2e-308], n) * r.choice([-1.0, 1.0], n),
+    "nan": lambda r, n: r.choice([np.nan, -np.nan], n),
+    "inf": lambda r, n: r.choice([np.inf, -np.inf], n),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       size=st.sampled_from([0, 1, GELU_BLOCK - 1, GELU_BLOCK, GELU_BLOCK + 1,
+                             3 * GELU_BLOCK + 5]),
+       classes=st.sets(st.sampled_from(sorted(GELU_ELEMENTS))),
+       layout=st.sampled_from(["contiguous", "strided", "reversed", "column"]),
+       tracked=st.booleans())
+def test_gelu_value_is_the_scipy_formula_bitwise(seed, size, classes, layout, tracked):
+    # dense |x| / sqrt 2 <= 1, with elements of the other classes at random
+    # places, in a contiguous array or a view that is not
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-SQRT2, SQRT2, size)
+    for name in sorted(classes):
+        at = rng.choice(size, size=min(size, 1 + size // 50), replace=False)
+        x[at] = GELU_ELEMENTS[name](rng, len(at))
+    if layout == "strided":
+        base = np.zeros(2 * size)
+        base[::2] = x
+        x = base[::2]
+    elif layout == "reversed":
+        x = x[::-1].copy()[::-1]
+    elif layout == "column":
+        base = np.zeros((size, 3))
+        base[:, 1] = x
+        x = base[:, 1:2]
+    # with warnings as errors both fail alike: only +-inf warns ("invalid
+    # value" as x or Phi meets a zero), in the formula and the kernel
+    assert (first_warning(gelu_value, x, tracked)
+            == first_warning(gelu_formula, x, tracked))
+    with np.errstate(invalid="ignore"):
+        got, want = gelu_value(x, tracked), gelu_formula(x, tracked)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            # NaN at the same places, but not always of the same sign: the
+            # formula's own NaN signs change with the array's length, since
+            # numpy evaluates `phi + x * pdf` in place in the product from
+            # 256 KiB on, and with the place in its SIMD loop
+            nan = np.isnan(w)
+            assert g.shape == w.shape and np.array_equal(np.isnan(g), nan)
+            assert g[~nan].tobytes() == w[~nan].tobytes()
+
+
+def test_gelu_loads_scipy_only_for_a_tail_element(tmp_path):
+    # a fresh process: a GELU whose every |x| / sqrt 2 is at most 1 runs
+    # without scipy; one element past it loads scipy for that block
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "from hta.tape import gelu_value\n"
+            "x = np.linspace(-np.sqrt(2.0), np.sqrt(2.0), 40_001)\n"
+            "out = [x, *gelu_value(x, True)]\n"
+            "loaded = ['scipy' in sys.modules]\n"
+            "x = x.copy()\n"
+            "x[17] = 1.5\n"
+            "out += [x, *gelu_value(x, True)]\n"
+            "loaded.append('scipy' in sys.modules)\n"
+            "np.save(sys.argv[1], np.stack(out))\n"
+            "print(json.dumps(loaded))\n")
+    arrays = tmp_path / "gelu.npy"
+    out = subprocess.run([sys.executable, "-c", code, str(arrays)],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [False, True]
+    got = np.load(arrays)
+    for x, value, deriv in (got[:3], got[3:]):
+        want = gelu_formula(x, True)
+        assert value.tobytes() == want[0].tobytes() and deriv.tobytes() == want[1].tobytes()
 
 
 def test_backward_bitwise_deterministic():
